@@ -3,8 +3,8 @@
 //! solver against its serial twin.
 //!
 //! On a single-core host the parallel configurations measure scheduling
-//! overhead rather than speedup; see `BENCH_parallel.json` (produced by the
-//! `bench_parallel` binary) for the honest throughput numbers.
+//! overhead rather than speedup; the end-to-end benchmark (`perfbench/`)
+//! reports across-loop worker utilization as `par.busy_frac`.
 
 use std::time::Duration;
 

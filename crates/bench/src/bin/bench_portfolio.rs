@@ -1,8 +1,8 @@
 //! Portfolio win-rate and latency measurement over the golden corpus:
 //! every golden cell (11 kernels x both formulations) is timed under
-//! ILP-only, serial portfolio (SAT decides first), and the two-thread
-//! cross-backend race, and `BENCH_portfolio.json` records per-cell wall
-//! times plus which backend won each portfolio run.
+//! ILP-only and the portfolio (SAT decides first), and
+//! `BENCH_portfolio.json` records per-cell wall times plus which backend
+//! won each portfolio run.
 //!
 //! Run: `cargo run --release -p optimod-bench --bin bench_portfolio`
 
@@ -29,16 +29,10 @@ fn golden_loops(machine: &Machine) -> Vec<Loop> {
     ]
 }
 
-fn run(
-    l: &Loop,
-    machine: &Machine,
-    style: DepStyle,
-    portfolio: bool,
-    threads: u32,
-) -> (LoopResult, f64) {
+fn run(l: &Loop, machine: &Machine, style: DepStyle, portfolio: bool) -> (LoopResult, f64) {
     let mut cfg = SchedulerConfig::new(style, Objective::FirstFeasible)
         .with_time_limit(Duration::from_secs(60));
-    cfg.limits.threads = threads;
+    cfg.limits.threads = 1;
     cfg.portfolio = portfolio;
     let t0 = Instant::now();
     let r = OptimalScheduler::new(cfg).schedule(l, machine);
@@ -67,8 +61,8 @@ fn main() {
         styles.len()
     );
     println!(
-        "{:<18} {:<12} {:>3} {:>10} {:>12} {:>7} {:>12} {:>7}",
-        "kernel", "style", "II", "ilp_ms", "serial_ms", "winner", "raced_ms", "winner"
+        "{:<18} {:<12} {:>3} {:>10} {:>12} {:>7}",
+        "kernel", "style", "II", "ilp_ms", "serial_ms", "winner"
     );
 
     struct Row {
@@ -78,26 +72,17 @@ fn main() {
         ilp_ms: f64,
         serial_ms: f64,
         serial_winner: &'static str,
-        raced_ms: f64,
-        raced_winner: &'static str,
     }
     let mut rows: Vec<Row> = Vec::new();
     for (style_name, style) in styles {
         for l in &loops {
-            let (ilp, ilp_ms) = run(l, &machine, style, false, 1);
-            let (serial, serial_ms) = run(l, &machine, style, true, 1);
-            let (raced, raced_ms) = run(l, &machine, style, true, 2);
+            let (ilp, ilp_ms) = run(l, &machine, style, false);
+            let (serial, serial_ms) = run(l, &machine, style, true);
             let ii = ilp.ii.expect("golden kernels all schedule");
             assert_eq!(
                 serial.ii,
                 Some(ii),
                 "{}: serial portfolio II drifted",
-                l.name()
-            );
-            assert_eq!(
-                raced.ii,
-                Some(ii),
-                "{}: raced portfolio II drifted",
                 l.name()
             );
             let row = Row {
@@ -107,51 +92,31 @@ fn main() {
                 ilp_ms,
                 serial_ms,
                 serial_winner: winner(&serial),
-                raced_ms,
-                raced_winner: winner(&raced),
             };
             println!(
-                "{:<18} {:<12} {:>3} {:>10.3} {:>12.3} {:>7} {:>12.3} {:>7}",
-                row.name,
-                row.style,
-                row.ii,
-                row.ilp_ms,
-                row.serial_ms,
-                row.serial_winner,
-                row.raced_ms,
-                row.raced_winner
+                "{:<18} {:<12} {:>3} {:>10.3} {:>12.3} {:>7}",
+                row.name, row.style, row.ii, row.ilp_ms, row.serial_ms, row.serial_winner
             );
             rows.push(row);
         }
     }
 
     let sat_serial = rows.iter().filter(|r| r.serial_winner == "sat").count();
-    let sat_raced = rows.iter().filter(|r| r.raced_winner == "sat").count();
     println!(
-        "\nserial portfolio: sat won {sat_serial}/{} cells; raced: sat won {sat_raced}/{}",
-        rows.len(),
+        "\nserial portfolio: sat won {sat_serial}/{} cells",
         rows.len()
     );
 
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"cells\": {},", rows.len());
     let _ = writeln!(json, "  \"sat_wins_serial\": {sat_serial},");
-    let _ = writeln!(json, "  \"sat_wins_raced\": {sat_raced},");
     json.push_str("  \"runs\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(
             json,
             "    {{\"kernel\": \"{}\", \"style\": \"{}\", \"ii\": {}, \
-             \"ilp_ms\": {:.4}, \"serial_ms\": {:.4}, \"serial_winner\": \"{}\", \
-             \"raced_ms\": {:.4}, \"raced_winner\": \"{}\"}}",
-            r.name,
-            r.style,
-            r.ii,
-            r.ilp_ms,
-            r.serial_ms,
-            r.serial_winner,
-            r.raced_ms,
-            r.raced_winner
+             \"ilp_ms\": {:.4}, \"serial_ms\": {:.4}, \"serial_winner\": \"{}\"}}",
+            r.name, r.style, r.ii, r.ilp_ms, r.serial_ms, r.serial_winner
         );
         json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }

@@ -1,12 +1,14 @@
 //! Cross-backend portfolio acceptance scenario over the golden corpus.
 //!
 //! Every golden cell (11 kernels x both dependence formulations) is solved
-//! three times: ILP-only (the reference), serial portfolio (threads = 1,
-//! SAT decides first, deterministic), and racing portfolio (threads = 2).
-//! Acceptance:
+//! three times: ILP-only (the reference), and the portfolio (SAT decides
+//! first) at one and at two threads. Acceptance:
 //!
-//! * both portfolio modes certify the *exact same II* as the ILP-only
+//! * both portfolio runs certify the *exact same II* as the ILP-only
 //!   reference on every cell, with zero cross-backend disagreements;
+//! * both portfolio runs pick the *same winner* on every cell: the
+//!   backends run serially at any thread count, so the winner never
+//!   depends on timing;
 //! * the SAT backend wins at least one cell outright (provenance
 //!   `sat-exact`);
 //! * the differential oracle is live: a deliberately broken encoder
@@ -73,7 +75,8 @@ fn main() {
             );
             let ref_ii = reference.ii.expect("optimal result has an II");
 
-            for (mode, threads) in [("serial", 1u32), ("raced", 2u32)] {
+            let mut winners = Vec::new();
+            for (mode, threads) in [("1-thread", 1u32), ("2-thread", 2u32)] {
                 let sink = Arc::new(MemorySink::default());
                 let r =
                     scheduler(style, true, threads, Trace::new(sink.clone())).schedule(l, &machine);
@@ -103,31 +106,34 @@ fn main() {
                     "{} / {style_name} / {mode}: emitted schedule does not validate",
                     l.name()
                 );
-                // Serial mode is the deterministic accounting mode: tally
-                // its winner (the raced mode's winner is timing-dependent).
-                if mode == "serial" {
-                    match r.provenance {
-                        Some(Provenance::SatExact) => sat_wins += 1,
-                        Some(Provenance::Exact) => ilp_wins += 1,
-                        other => panic!(
-                            "{} / {style_name}: unexpected provenance {other:?}",
-                            l.name()
-                        ),
-                    }
-                    let rep = sink.report();
-                    assert_eq!(
-                        rep.sat_wins + rep.ilp_wins,
-                        1,
-                        "{} / {style_name}: exactly one portfolio win event per cell",
-                        l.name()
-                    );
-                }
+                let rep = sink.report();
+                assert_eq!(
+                    rep.sat_wins + rep.ilp_wins,
+                    1,
+                    "{} / {style_name} / {mode}: exactly one portfolio win event per cell",
+                    l.name()
+                );
+                winners.push((r.provenance, rep.sat_wins));
+            }
+            assert_eq!(
+                winners[0],
+                winners[1],
+                "{} / {style_name}: the winner changed with the thread count",
+                l.name()
+            );
+            match winners[0].0 {
+                Some(Provenance::SatExact) => sat_wins += 1,
+                Some(Provenance::Exact) => ilp_wins += 1,
+                other => panic!(
+                    "{} / {style_name}: unexpected provenance {other:?}",
+                    l.name()
+                ),
             }
         }
     }
     println!(
-        "portfolio corpus: {cells} cells x (serial + raced), all IIs identical to ILP-only; \
-         serial wins: sat {sat_wins}, ilp {ilp_wins}"
+        "portfolio corpus: {cells} cells x (1 + 2 threads), all IIs identical to ILP-only, \
+         winners identical at both thread counts; wins: sat {sat_wins}, ilp {ilp_wins}"
     );
     assert!(
         sat_wins >= 1,

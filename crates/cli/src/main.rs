@@ -37,12 +37,12 @@
 //!   --threads <n>         branch-and-bound worker threads
 //!                         (default: OPTIMOD_THREADS, else all cores;
 //!                         1 = deterministic serial search)
-//!   --speculate           race II and II+1 solves concurrently
-//!   --portfolio           race the CDCL SAT backend against the ILP at
-//!                         each tentative II (noobj only; first certified
-//!                         answer wins, certified contradictions between
-//!                         the backends fail the run with a minimized
-//!                         repro written to optimod-disagreement.loop)
+//!   --portfolio           ask the CDCL SAT backend before the ILP at each
+//!                         tentative II (noobj only; a certified SAT
+//!                         schedule settles the II, otherwise the ILP
+//!                         decides; certified contradictions between the
+//!                         backends fail the run with a minimized repro
+//!                         written to optimod-disagreement.loop)
 //!   --fallback            degrade to stage-ILP / IMS when the exact
 //!                         solver exhausts its budget slice
 //!   --expand              also print the MVE-expanded pipelined loop
@@ -153,7 +153,6 @@ struct Options {
     registers: Option<u32>,
     max_ii_span: Option<u32>,
     threads: u32,
-    speculate: bool,
     portfolio: bool,
     fallback: bool,
     expand: bool,
@@ -190,7 +189,6 @@ fn parse_args() -> Result<Options, String> {
         registers: None,
         max_ii_span: None,
         threads: 0,
-        speculate: false,
         portfolio: false,
         fallback: false,
         expand: false,
@@ -272,7 +270,6 @@ fn parse_args() -> Result<Options, String> {
                 let v = args.next().ok_or("--threads needs a value")?;
                 opts.threads = v.parse().map_err(|_| "--threads must be an integer")?;
             }
-            "--speculate" => opts.speculate = true,
             "--portfolio" => opts.portfolio = true,
             "--fallback" => opts.fallback = true,
             "--expand" => opts.expand = true,
@@ -308,7 +305,7 @@ fn parse_args() -> Result<Options, String> {
 
 const USAGE: &str = "usage: optimod <loop-file> [--objective noobj|minreg|minbuff|minlife|minlen] \
 [--style structured|traditional] [--budget-ms N] [--registers N] [--max-ii-span N] [--threads N] \
-[--speculate] [--portfolio] [--fallback] [--expand] [--lp] [--trace PATH] [--report] [--report-json] \
+[--portfolio] [--fallback] [--expand] [--lp] [--trace PATH] [--report] [--report-json] \
 [--certify] [--chaos SEED] [--analyze] [--no-presolve] [--explain]\n\
        optimod lint <loop-file> [--json] [--style S] [--objective O]\n\
        optimod explain <loop-file> [--ii K] [--json] [--style S] [--budget-ms N] [--registers N] \
@@ -750,7 +747,6 @@ fn run() -> Result<(), Failure> {
     cfg.register_limit = opts.registers;
     cfg.presolve = opts.presolve;
     cfg.limits.threads = opts.threads;
-    cfg.speculate_ii = opts.speculate;
     cfg.portfolio = opts.portfolio;
     cfg.explain = opts.explain;
     if let Some(span) = opts.max_ii_span {

@@ -1,4 +1,4 @@
-//! Cross-backend portfolio: the CDCL SAT core raced against the ILP, with
+//! Cross-backend portfolio: the CDCL SAT core asked before the ILP, with
 //! a differential bug oracle between them.
 //!
 //! For a tentative `II` the portfolio asks two independently implemented
@@ -19,19 +19,16 @@
 //!   reproduction in the textual loop format. A disagreement is a hard bug
 //!   in a backend or the encoder, never a legitimate outcome.
 //!
-//! With one worker thread the two backends run *serially* (SAT first) so
-//! portfolio results are deterministic and pinnable in the golden corpus;
-//! with more threads they race on [`optimod_par::race2`], the first
-//! certified answer cancelling the loser through its
-//! [`StopFlag`](optimod_ilp::StopFlag) — whose partial statistics are
-//! still merged through the audited [`SolveStats::absorb`] path.
+//! The two backends run *serially* at every thread count: SAT decides
+//! first, and the ILP runs only when SAT has no certified schedule, on
+//! whatever budget SAT left (see [`ilp_leg_limits`]). Portfolio results are
+//! therefore deterministic and pinnable in the golden corpus; spare threads
+//! go to the ILP leg's work-stealing branch-and-bound.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use optimod_ddg::{DepKind, Loop, LoopBuilder};
-use optimod_ilp::{
-    panic_message, SolveError, SolveLimits, SolveOutcome, SolveStats, SolveStatus, StopFlag,
-};
+use optimod_ilp::{panic_message, SolveError, SolveLimits, SolveOutcome, SolveStats, SolveStatus};
 use optimod_machine::Machine;
 use optimod_sat::{encode, solve as sat_solve, SatLimits, SatOutcome, SatStats, SlotDomains};
 use optimod_trace::TraceEvent;
@@ -192,14 +189,26 @@ pub(crate) fn render_repro(l: &Loop, machine: &Machine, header: &[String]) -> St
     s
 }
 
+/// The ILP leg's limits after a SAT leg that ran for `sat_elapsed`: the
+/// same limits, with the wall-clock budget reduced by what SAT spent. Both
+/// solvers measure their deadline from their own start, so passing the
+/// full `time_limit` to each would let one `II` spend twice the budget.
+pub(crate) fn ilp_leg_limits(limits: SolveLimits, sat_elapsed: Duration) -> SolveLimits {
+    SolveLimits {
+        time_limit: limits.time_limit.saturating_sub(sat_elapsed),
+        ..limits
+    }
+}
+
 /// Edge-count ceiling for the greedy minimizer: each candidate costs a
 /// bounded SAT + ILP re-solve, so enormous graphs ship unminimized rather
 /// than stalling the failure report.
 const MINIMIZE_EDGE_CAP: usize = 64;
 
 impl OptimalScheduler {
-    /// One portfolio attempt at `ii`: both backends under the shared
-    /// budget, with trace tagging and differential arbitration. SAT-side
+    /// One portfolio attempt at `ii`: SAT first, then (unless SAT produced a
+    /// certified schedule) the ILP on the rest of the shared budget, with
+    /// trace tagging and differential arbitration. SAT-side
     /// statistics (and, on every early-return path, the ILP side's) are
     /// folded into `stats`; on the [`PortfolioOutcome::Ilp`] path the
     /// caller absorbs the ILP outcome's statistics itself, exactly as in
@@ -217,90 +226,21 @@ impl OptimalScheduler {
     ) -> PortfolioOutcome {
         let trace = self.config().limits.trace.clone();
         let domains = slot_domains(built);
-        if limits.resolve_threads() <= 1 {
-            // Serial, deterministic mode: SAT decides first. A certified
-            // SAT schedule settles the cell without running the ILP at
-            // all; anything weaker defers to the ILP's verdict.
-            let sat_res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.sat_attempt(l, machine, ii, &domains, &limits, limits.stop.child())
-            }));
-            let (verdict, sat_stats, sat_err) = match sat_res {
-                Ok(t) => t,
-                Err(p) => {
-                    stats.panics_recovered += 1;
-                    sticky_error.get_or_insert(ScheduleError::Solver(SolveError::WorkerPanic(
-                        panic_message(p.as_ref()),
-                    )));
-                    (SatVerdict::Unknown, SatStats::default(), None)
-                }
-            };
-            stats.absorb(&as_solve_stats(&sat_stats));
-            if let Some(e) = sat_err {
-                sticky_error.get_or_insert(e);
-            }
-            let verdict_name = verdict.name();
-            trace.emit(|| TraceEvent::BackendResult {
-                backend: "sat",
-                ii,
-                verdict: verdict_name,
-            });
-            if let SatVerdict::Schedule(s) = verdict {
-                trace.emit(|| TraceEvent::PortfolioWin { backend: "sat", ii });
-                return PortfolioOutcome::Sat(s);
-            }
-            let out = built.model.solve_with(limits);
-            let status = out.status;
-            trace.emit(|| TraceEvent::BackendResult {
-                backend: "ilp",
-                ii,
-                verdict: ilp_verdict_name(status),
-            });
-            if matches!(verdict, SatVerdict::Infeasible) {
-                if let Some(err) = self.check_unsat_disagreement(l, machine, built, &out, ii) {
-                    stats.absorb(&out.stats);
-                    return PortfolioOutcome::Disagreement(err);
-                }
-            }
-            if out.status.has_solution() {
-                trace.emit(|| TraceEvent::PortfolioWin { backend: "ilp", ii });
-            }
-            return PortfolioOutcome::Ilp(Box::new(out));
-        }
-
-        // Parallel mode: race the backends, first useful answer cancels
-        // the loser. `race2` still joins the loser, so its (partial)
-        // statistics are never dropped.
-        let ilp_stop = limits.stop.child();
-        let sat_stop = limits.stop.child();
-        let ilp_limits = SolveLimits {
-            stop: ilp_stop.clone(),
-            ..limits.clone()
-        };
-        let sat_stop_worker = sat_stop.clone();
-        let outcome = optimod_par::race2(
-            || built.model.solve_with(ilp_limits),
-            || self.sat_attempt(l, machine, ii, &domains, &limits, sat_stop_worker),
-            |first| match first {
-                optimod_par::Either::A(out) => {
-                    // An ILP schedule or infeasibility proof settles the
-                    // cell; only a limit leaves the SAT side a chance to
-                    // rescue it.
-                    if out.status != SolveStatus::LimitReached {
-                        sat_stop.stop();
-                    }
-                }
-                optimod_par::Either::B((verdict, _, _)) => {
-                    if matches!(verdict, SatVerdict::Schedule(_)) {
-                        ilp_stop.stop();
-                    }
-                }
-            },
-        );
-        let (verdict, sat_stats, sat_err) = match outcome.b {
+        // SAT decides first. A certified SAT schedule settles the cell
+        // without running the ILP at all; anything weaker defers to the
+        // ILP's verdict.
+        let sat_start = Instant::now();
+        let sat_res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.sat_attempt(l, machine, ii, &domains, &limits)
+        }));
+        let sat_elapsed = sat_start.elapsed();
+        let (verdict, sat_stats, sat_err) = match sat_res {
             Ok(t) => t,
-            Err(msg) => {
+            Err(p) => {
                 stats.panics_recovered += 1;
-                sticky_error.get_or_insert(ScheduleError::Solver(SolveError::WorkerPanic(msg)));
+                sticky_error.get_or_insert(ScheduleError::Solver(SolveError::WorkerPanic(
+                    panic_message(p.as_ref()),
+                )));
                 (SatVerdict::Unknown, SatStats::default(), None)
             }
         };
@@ -314,69 +254,27 @@ impl OptimalScheduler {
             ii,
             verdict: verdict_name,
         });
-        let ilp_out = match outcome.a {
-            Ok(out) => {
-                let status = out.status;
-                trace.emit(|| TraceEvent::BackendResult {
-                    backend: "ilp",
-                    ii,
-                    verdict: ilp_verdict_name(status),
-                });
-                Some(out)
-            }
-            Err(msg) => {
-                stats.panics_recovered += 1;
-                sticky_error.get_or_insert(ScheduleError::Solver(SolveError::WorkerPanic(msg)));
-                trace.emit(|| TraceEvent::BackendResult {
-                    backend: "ilp",
-                    ii,
-                    verdict: "unknown",
-                });
-                None
-            }
-        };
-        match verdict {
-            SatVerdict::Schedule(s) => {
-                if let Some(out) = &ilp_out {
-                    stats.absorb(&out.stats);
-                    if out.status == SolveStatus::Infeasible {
-                        let detail = "sat produced a certified schedule but the ilp proved \
-                                      the same II infeasible"
-                            .to_string();
-                        return PortfolioOutcome::Disagreement(
-                            self.disagreement(l, machine, ii, detail),
-                        );
-                    }
-                }
-                trace.emit(|| TraceEvent::PortfolioWin { backend: "sat", ii });
-                PortfolioOutcome::Sat(s)
-            }
-            SatVerdict::Infeasible | SatVerdict::Unknown => {
-                let Some(out) = ilp_out else {
-                    // The ILP worker died and SAT has no certified answer:
-                    // report a limit so the escalation loop gives up
-                    // cleanly with the recorded panic as the cause.
-                    return PortfolioOutcome::Ilp(Box::new(SolveOutcome {
-                        status: SolveStatus::LimitReached,
-                        objective: f64::NAN,
-                        values: Vec::new(),
-                        best_bound: f64::NAN,
-                        stats: SolveStats::default(),
-                        error: None,
-                    }));
-                };
-                if matches!(verdict, SatVerdict::Infeasible) {
-                    if let Some(err) = self.check_unsat_disagreement(l, machine, built, &out, ii) {
-                        stats.absorb(&out.stats);
-                        return PortfolioOutcome::Disagreement(err);
-                    }
-                }
-                if out.status.has_solution() {
-                    trace.emit(|| TraceEvent::PortfolioWin { backend: "ilp", ii });
-                }
-                PortfolioOutcome::Ilp(Box::new(out))
+        if let SatVerdict::Schedule(s) = verdict {
+            trace.emit(|| TraceEvent::PortfolioWin { backend: "sat", ii });
+            return PortfolioOutcome::Sat(s);
+        }
+        let out = built.model.solve_with(ilp_leg_limits(limits, sat_elapsed));
+        let status = out.status;
+        trace.emit(|| TraceEvent::BackendResult {
+            backend: "ilp",
+            ii,
+            verdict: ilp_verdict_name(status),
+        });
+        if matches!(verdict, SatVerdict::Infeasible) {
+            if let Some(err) = self.check_unsat_disagreement(l, machine, built, &out, ii) {
+                stats.absorb(&out.stats);
+                return PortfolioOutcome::Disagreement(err);
             }
         }
+        if out.status.has_solution() {
+            trace.emit(|| TraceEvent::PortfolioWin { backend: "ilp", ii });
+        }
+        PortfolioOutcome::Ilp(Box::new(out))
     }
 
     /// Runs the SAT backend once at `ii`: encode (under the configured
@@ -393,13 +291,12 @@ impl OptimalScheduler {
         ii: u32,
         domains: &SlotDomains,
         limits: &SolveLimits,
-        stop: StopFlag,
     ) -> (SatVerdict, SatStats, Option<ScheduleError>) {
         let sat_limits = SatLimits {
             time_limit: limits.time_limit,
             conflict_limit: limits.node_limit,
             seed: 0x5A7 ^ u64::from(ii),
-            stop,
+            stop: limits.stop.clone(),
             fault: limits.fault.clone(),
         };
         let enc = encode(l, machine, ii, domains, &self.config().sat_encode);
@@ -573,5 +470,35 @@ impl OptimalScheduler {
             }
             SatOutcome::Unknown => false,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ilp_leg_gets_only_the_budget_sat_left() {
+        let limits = SolveLimits {
+            time_limit: Duration::from_millis(50),
+            node_limit: 777,
+            threads: 2,
+            first_solution_only: true,
+            ..Default::default()
+        };
+        let ilp = ilp_leg_limits(limits.clone(), Duration::from_millis(30));
+        assert_eq!(ilp.time_limit, Duration::from_millis(20));
+        assert_eq!(ilp.node_limit, 777);
+        assert_eq!(ilp.threads, 2);
+        assert!(ilp.first_solution_only);
+        // The stop flag is shared, not replaced: a caller-side stop still
+        // reaches the ILP leg.
+        limits.stop.stop();
+        assert!(ilp.stop.is_stopped());
+        // A SAT leg that used the whole budget (or overran it) leaves none.
+        let spent = ilp_leg_limits(limits.clone(), Duration::from_millis(50));
+        assert_eq!(spent.time_limit, Duration::ZERO);
+        let overrun = ilp_leg_limits(limits, Duration::from_millis(80));
+        assert_eq!(overrun.time_limit, Duration::ZERO);
     }
 }

@@ -122,7 +122,7 @@ impl FallbackConfig {
 pub enum Provenance {
     /// Rung 1: the exact ILP over the full scheduling space.
     Exact,
-    /// The portfolio's CDCL SAT backend won the race with a certified
+    /// The portfolio's CDCL SAT backend settled the `II` with a certified
     /// schedule. Exact for throughput (same `II` search, certified feasible
     /// witness), but carries no secondary-objective claim — the portfolio
     /// only runs for [`Objective::FirstFeasible`].
@@ -173,25 +173,15 @@ pub struct SchedulerConfig {
     /// Hard register-file constraint (`MaxLive <= limit`); `None` means
     /// unlimited registers, as in the paper's experiments.
     pub register_limit: Option<u32>,
-    /// Race `II` and `II + 1` speculatively on separate threads (each racer
-    /// gets half the worker budget). When the tentative `II` proves
-    /// infeasible — the common case until the achievable `II` is reached —
-    /// the `II + 1` result is already in hand; when `II` succeeds the
-    /// speculative racer is cancelled through its [`optimod_ilp::StopFlag`].
-    /// Off by default: speculation burns extra CPU and makes per-loop node
-    /// counts nondeterministic, so experiments keep it disabled. Ignored
-    /// when [`Self::portfolio`] is active — the portfolio already fills the
-    /// spare workers with the SAT backend.
-    pub speculate_ii: bool,
     /// Cross-backend portfolio: at each tentative `II`, ask the
-    /// `optimod-sat` CDCL backend and the ILP the same feasibility
-    /// question, first certified answer wins, and a differential oracle
-    /// fails the run on any certified contradiction (see
-    /// [`ScheduleError::BackendDisagreement`]). Only active for
+    /// `optimod-sat` CDCL backend the feasibility question first and fall
+    /// through to the ILP when SAT has no certified schedule; a
+    /// differential oracle fails the run on any certified contradiction
+    /// (see [`ScheduleError::BackendDisagreement`]). Only active for
     /// [`Objective::FirstFeasible`] — SAT has no objective — other
-    /// objectives silently run ILP-only. With one worker thread the
-    /// backends run serially (SAT first, deterministic); with more they
-    /// race. Off by default.
+    /// objectives silently run ILP-only. The backends run serially at any
+    /// thread count, so the winner is deterministic; extra threads go to
+    /// the ILP leg's parallel search. Off by default.
     pub portfolio: bool,
     /// CNF encoder options for the portfolio's SAT backend. The default is
     /// the faithful encoding; the sabotaged variants exist so tests can
@@ -228,7 +218,6 @@ impl Default for SchedulerConfig {
             sched_len_slack: 20,
             max_ii_span: 64,
             register_limit: None,
-            speculate_ii: false,
             portfolio: false,
             sat_encode: optimod_sat::EncodeOptions::default(),
             fallback: FallbackConfig::default(),
@@ -364,11 +353,6 @@ impl OptimalScheduler {
     ///
     /// The input is validated first; a malformed loop yields
     /// [`LoopStatus::Invalid`] with the cause in [`LoopResult::error`].
-    ///
-    /// With [`SchedulerConfig::speculate_ii`] set (and more than one worker
-    /// thread available), `II` and `II + 1` are solved concurrently at each
-    /// escalation step; the `II + 1` racer is cancelled cooperatively when
-    /// `II` succeeds, and consulted when `II` proves infeasible.
     ///
     /// With [`SchedulerConfig::fallback`] enabled, an exact attempt that
     /// runs out of budget (or fails abnormally) degrades down the ladder —
@@ -593,7 +577,7 @@ impl OptimalScheduler {
         let mut presolve_totals = PresolveTotals::default();
         let trace = self.config.limits.trace.clone();
         trace.emit(|| TraceEvent::Rung { rung: "exact" });
-        // First abnormal-but-survivable condition seen (a racer panic, a
+        // First abnormal-but-survivable condition seen (a SAT-leg panic, a
         // stalled LP); reported even when a later attempt succeeds.
         let mut sticky_error: Option<ScheduleError> = None;
         let cfg = FormulationConfig {
@@ -658,9 +642,6 @@ impl OptimalScheduler {
                 ..self.config.limits.clone()
             };
 
-            // Speculation: solve `ii + 1` concurrently on half the workers.
-            let threads = limits.resolve_threads();
-            let mut speculative = None;
             let portfolio = self.config.portfolio && first_only;
             let search_span = trace.span(Phase::Search);
             let out = if portfolio {
@@ -695,52 +676,6 @@ impl OptimalScheduler {
                         return give_up(LoopStatus::Failed, stats, presolve_totals, Some(err));
                     }
                 }
-            } else if self.config.speculate_ii && threads > 1 && ii < end_ii {
-                if let Some(mut built_next) = build_model(l, machine, ii + 1, &cfg) {
-                    if self.config.presolve {
-                        self.presolve_model(l, &mut built_next, &mut presolve_totals);
-                    }
-                    let half = (threads / 2).max(1) as u32;
-                    let stop_next = self.config.limits.stop.child();
-                    let limits_main = SolveLimits {
-                        threads: half,
-                        stop: self.config.limits.stop.child(),
-                        ..limits.clone()
-                    };
-                    let limits_next = SolveLimits {
-                        threads: half,
-                        stop: stop_next.clone(),
-                        ..limits
-                    };
-                    let (out, race) = std::thread::scope(|scope| {
-                        let racer = scope.spawn(|| built_next.model.solve_with(limits_next));
-                        let out = built.model.solve_with(limits_main);
-                        if out.status != SolveStatus::Infeasible {
-                            // Scheduled at `ii` (or giving up): the
-                            // speculative result will not be consulted.
-                            stop_next.stop();
-                        }
-                        let race = racer.join().map_err(|p| panic_message(p.as_ref()));
-                        (out, race)
-                    });
-                    match race {
-                        Ok(out_next) => {
-                            stats.absorb(&out_next.stats);
-                            speculative = Some((built_next, out_next));
-                        }
-                        Err(msg) => {
-                            // The speculative racer died; its result was
-                            // only ever advisory, so record the panic and
-                            // continue with sequential escalation.
-                            stats.panics_recovered += 1;
-                            sticky_error
-                                .get_or_insert(ScheduleError::Solver(SolveError::WorkerPanic(msg)));
-                        }
-                    }
-                    out
-                } else {
-                    built.model.solve_with(limits)
-                }
             } else {
                 built.model.solve_with(limits)
             };
@@ -765,52 +700,10 @@ impl OptimalScheduler {
                         sticky_error,
                     );
                 }
-                SolveStatus::Infeasible => {
-                    if let Some((built_next, out_next)) = speculative {
-                        if let Some(e) = &out_next.error {
-                            sticky_error.get_or_insert(ScheduleError::Solver(e.clone()));
-                        }
-                        match out_next.status {
-                            SolveStatus::Optimal | SolveStatus::Feasible => {
-                                return self.scheduled(
-                                    l,
-                                    machine,
-                                    &built_next,
-                                    &out_next,
-                                    ii + 1,
-                                    mii,
-                                    stats,
-                                    presolve_totals,
-                                    start,
-                                    sticky_error,
-                                );
-                            }
-                            SolveStatus::Infeasible => {
-                                // Both candidates refuted. Checked: with a
-                                // saturated `end_ii` the increment itself
-                                // could wrap; exhausting u32 means the span
-                                // is exhausted.
-                                match ii.checked_add(2) {
-                                    Some(next) => ii = next,
-                                    None => break,
-                                }
-                                continue;
-                            }
-                            SolveStatus::LimitReached => {
-                                return give_up(
-                                    LoopStatus::TimedOut,
-                                    stats,
-                                    presolve_totals,
-                                    sticky_error,
-                                )
-                            }
-                        }
-                    }
-                    match ii.checked_add(1) {
-                        Some(next) => ii = next,
-                        None => break,
-                    }
-                }
+                SolveStatus::Infeasible => match ii.checked_add(1) {
+                    Some(next) => ii = next,
+                    None => break,
+                },
                 SolveStatus::LimitReached => {
                     return give_up(LoopStatus::TimedOut, stats, presolve_totals, sticky_error)
                 }
@@ -1191,38 +1084,6 @@ mod tests {
     }
 
     #[test]
-    fn speculative_ii_race_matches_sequential_escalation() {
-        let m = example_3fu();
-        for l in [
-            kernels::figure1(&m),
-            kernels::lfk5_tridiag(&m),
-            kernels::dot_product(&m),
-        ] {
-            let baseline = OptimalScheduler::new(SchedulerConfig::default()).schedule(&l, &m);
-            let mut cfg = SchedulerConfig {
-                speculate_ii: true,
-                ..Default::default()
-            };
-            cfg.limits.threads = 2;
-            let raced = OptimalScheduler::new(cfg).schedule(&l, &m);
-            assert_eq!(raced.status, baseline.status, "{}", l.name());
-            assert_eq!(raced.ii, baseline.ii, "{}", l.name());
-            assert_eq!(
-                raced.objective_value,
-                baseline.objective_value,
-                "{}",
-                l.name()
-            );
-            assert_eq!(
-                raced.schedule.unwrap().validate(&l, &m),
-                None,
-                "{}",
-                l.name()
-            );
-        }
-    }
-
-    #[test]
     fn stopped_scheduler_reports_timeout() {
         let m = example_3fu();
         let l = kernels::figure1(&m);
@@ -1312,23 +1173,43 @@ mod tests {
     }
 
     #[test]
-    fn parallel_portfolio_merges_both_backends_counters() {
+    fn portfolio_winner_does_not_depend_on_the_thread_count() {
+        use optimod_trace::{MemorySink, Trace};
+        use std::sync::Arc;
         let m = example_3fu();
-        let l = kernels::lfk5_tridiag(&m);
-        let baseline = OptimalScheduler::new(SchedulerConfig::default()).schedule(&l, &m);
-        let mut cfg = SchedulerConfig {
-            portfolio: true,
-            ..Default::default()
-        };
-        cfg.limits.threads = 2;
-        let r = OptimalScheduler::new(cfg).schedule(&l, &m);
-        assert_eq!(r.status, baseline.status);
-        assert_eq!(r.ii, baseline.ii);
-        assert_eq!(r.schedule.unwrap().validate(&l, &m), None);
-        // Whichever backend won, the loser's partial counters were merged
-        // through the audited absorb path: the SAT side always at least
-        // loaded the problem.
-        assert!(r.stats.sat_propagations > 0 || r.stats.sat_decisions > 0);
+        let golden = [
+            kernels::figure1(&m),
+            kernels::saxpy(&m),
+            kernels::dot_product(&m),
+            kernels::lfk5_tridiag(&m),
+            kernels::lfk6_recurrence(&m),
+            kernels::lfk11_first_sum(&m),
+            kernels::lfk12_first_diff(&m),
+            kernels::fir4(&m),
+            kernels::horner(&m),
+            kernels::divide_recurrence(&m),
+            kernels::stream_copy(&m),
+        ];
+        for style in [DepStyle::Traditional, DepStyle::Structured] {
+            for l in &golden {
+                let run = |threads: u32| {
+                    let sink = Arc::new(MemorySink::default());
+                    let mut cfg = SchedulerConfig {
+                        portfolio: true,
+                        ..SchedulerConfig::new(style, Objective::FirstFeasible)
+                    };
+                    cfg.limits.threads = threads;
+                    cfg.limits.trace = Trace::new(sink.clone());
+                    let r = OptimalScheduler::new(cfg).schedule(l, &m);
+                    let rep = sink.report();
+                    (r.status, r.ii, r.provenance, rep.sat_wins, rep.ilp_wins)
+                };
+                let serial = run(1);
+                assert_eq!(serial.0, LoopStatus::Optimal, "{} / {style:?}", l.name());
+                assert_eq!(serial.3 + serial.4, 1, "{} / {style:?}", l.name());
+                assert_eq!(run(2), serial, "{} / {style:?}", l.name());
+            }
+        }
     }
 
     #[test]
@@ -1336,6 +1217,9 @@ mod tests {
         use optimod_ilp::FaultPlan;
         let m = example_3fu();
         let l = kernels::figure1(&m);
+        let mut ilp_only = SchedulerConfig::default();
+        ilp_only.limits.threads = 1;
+        let baseline = OptimalScheduler::new(ilp_only).schedule(&l, &m);
         let mut cfg = SchedulerConfig {
             portfolio: true,
             ..Default::default()
@@ -1350,6 +1234,15 @@ mod tests {
         assert_eq!(r.provenance, Some(Provenance::Exact));
         assert!(r.stats.panics_recovered >= 1);
         assert!(matches!(r.error, Some(ScheduleError::Solver(_))));
+        // SAT fell through, so the serial ILP leg ran exactly the ILP-only
+        // search, and every one of its counters reached the result.
+        assert!(r.stats.lp_solves > 0);
+        assert_eq!(r.stats.bb_nodes, baseline.stats.bb_nodes);
+        assert_eq!(r.stats.lp_solves, baseline.stats.lp_solves);
+        assert_eq!(
+            r.stats.simplex_iterations,
+            baseline.stats.simplex_iterations
+        );
     }
 
     #[test]

@@ -73,16 +73,17 @@ echo "==> SAT encoder round-trip properties (vs the real ILP)"
 cargo test -q -p optimod-sat --test encoding_properties
 
 echo "==> cross-backend portfolio over the golden corpus"
-# All 22 golden cells under --portfolio (serial and raced): certified II
-# identical to ILP-only everywhere, zero disagreements, SAT winning at
-# least one cell outright, and the differential oracle demonstrably
-# catching a deliberately sabotaged encoder with a minimized repro.
+# All 22 golden cells under --portfolio at 1 and 2 threads: certified II
+# identical to ILP-only everywhere, the same winner at both thread counts,
+# zero disagreements, SAT winning at least one cell outright, and the
+# differential oracle demonstrably catching a deliberately sabotaged
+# encoder with a minimized repro.
 cargo run --release -q -p optimod-bench --bin portfolio_corpus
 
 echo "==> portfolio win-rate / latency snapshot"
-# Times every golden cell under ILP-only, serial portfolio, and the
-# two-thread race; asserts the certified IIs agree and writes
-# BENCH_portfolio.json with per-cell winners.
+# Times every golden cell under ILP-only and the serial portfolio; asserts
+# the certified IIs agree and writes BENCH_portfolio.json with per-cell
+# winners.
 cargo run --release -q -p optimod-bench --bin bench_portfolio
 
 echo "==> daemon smoke (solve twice, second must be a certified cache hit)"
