@@ -25,6 +25,13 @@
 //!
 //! The eta file is bounded: [`SparseBasis::eta_nnz`] lets the caller force a
 //! refactorization once the accumulated update entries outgrow the factor.
+//!
+//! The LU factor never changes between refactorizations, so [`SparseBasis`]
+//! holds it behind an [`Arc`]: cloning a basis representation — which is how
+//! a branch-and-bound parent hands its factorization to both children —
+//! copies only the eta file and shares `L`/`U`.
+
+use std::sync::Arc;
 
 use crate::tol::{ELIM_SKIP_TOL, LU_DROP_TOL, LU_PIVOT_REL, SINGULAR_TOL};
 
@@ -67,6 +74,11 @@ impl LuFactor {
             u_cols: vec![Vec::new(); m],
             u_diag: signs.to_vec(),
         }
+    }
+
+    /// Dimension of the factored basis.
+    pub(crate) fn dim(&self) -> usize {
+        self.m
     }
 
     /// True while the factor is a pure diagonal (no elimination happened),
@@ -354,26 +366,32 @@ impl LuFactor {
 
 /// One product-form update: basis position `r` was replaced by a column
 /// whose transformed image was `v = B⁻¹ a`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Eta {
     r: u32,
     /// `1 / v_r`.
     inv_piv: f64,
-    /// `(i, v_i)` for `i ≠ r` with `|v_i|` above the skip tolerance.
-    others: Vec<(u32, f64)>,
+    /// This eta's span of [`EtaFile::entries`].
+    start: usize,
+    end: usize,
 }
 
 /// Bounded product-form eta file layered on top of an [`LuFactor`].
+///
+/// The off-pivot entries of all etas sit back to back in one array, so a
+/// clone is two flat copies however many etas are stacked.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct EtaFile {
     etas: Vec<Eta>,
-    nnz: usize,
+    /// `(i, v_i)` for `i ≠ r` with `|v_i|` above the skip tolerance, per
+    /// eta in push order.
+    entries: Vec<(u32, f64)>,
 }
 
 impl EtaFile {
     pub(crate) fn clear(&mut self) {
         self.etas.clear();
-        self.nnz = 0;
+        self.entries.clear();
     }
 
     /// Number of eta updates currently stacked on the base factor.
@@ -386,22 +404,23 @@ impl EtaFile {
     /// surcharge per solve, and the quantity the refactorization cadence
     /// bounds.
     pub(crate) fn nnz(&self) -> usize {
-        self.nnz
+        self.entries.len()
     }
 
     /// Records the pivot `(r, v)`; `v` is the dense transformed column.
     pub(crate) fn push(&mut self, r: usize, v: &[f64]) {
-        let others: Vec<(u32, f64)> = v
-            .iter()
-            .enumerate()
-            .filter(|&(i, &x)| i != r && x.abs() > ELIM_SKIP_TOL)
-            .map(|(i, &x)| (i as u32, x))
-            .collect();
-        self.nnz += others.len();
+        let start = self.entries.len();
+        self.entries.extend(
+            v.iter()
+                .enumerate()
+                .filter(|&(i, &x)| i != r && x.abs() > ELIM_SKIP_TOL)
+                .map(|(i, &x)| (i as u32, x)),
+        );
         self.etas.push(Eta {
             r: r as u32,
             inv_piv: 1.0 / v[r],
-            others,
+            start,
+            end: self.entries.len(),
         });
     }
 
@@ -412,7 +431,7 @@ impl EtaFile {
             let zr = z[eta.r as usize] * eta.inv_piv;
             z[eta.r as usize] = zr;
             if zr != 0.0 {
-                for &(i, v) in &eta.others {
+                for &(i, v) in &self.entries[eta.start..eta.end] {
                     z[i as usize] -= v * zr;
                 }
             }
@@ -424,7 +443,7 @@ impl EtaFile {
     pub(crate) fn btran(&self, y: &mut [f64]) {
         for eta in self.etas.iter().rev() {
             let mut s = y[eta.r as usize];
-            for &(i, v) in &eta.others {
+            for &(i, v) in &self.entries[eta.start..eta.end] {
                 s -= v * y[i as usize];
             }
             y[eta.r as usize] = s * eta.inv_piv;
@@ -437,7 +456,8 @@ impl EtaFile {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SparseBasis {
     m: usize,
-    lu: LuFactor,
+    /// Shared by every clone until the next refactorization replaces it.
+    lu: Arc<LuFactor>,
     etas: EtaFile,
     /// Pivot-coordinate scratch for the triangular solves.
     work: Vec<f64>,
@@ -451,7 +471,7 @@ impl SparseBasis {
         let ones = vec![1.0; m];
         SparseBasis {
             m,
-            lu: LuFactor::diagonal(&ones),
+            lu: Arc::new(LuFactor::diagonal(&ones)),
             etas: EtaFile::default(),
             work: vec![0.0; m],
             rhs: vec![0.0; m],
@@ -463,7 +483,7 @@ impl SparseBasis {
     pub(crate) fn reset_identity(&mut self, m: usize) {
         let ones = vec![1.0; m];
         self.m = m;
-        self.lu = LuFactor::diagonal(&ones);
+        self.lu = Arc::new(LuFactor::diagonal(&ones));
         self.etas.clear();
         self.work.clear();
         self.work.resize(m, 0.0);
@@ -474,7 +494,25 @@ impl SparseBasis {
     /// Phase-1 hook: replace the `i`-th diagonal of the (still diagonal)
     /// factor with the sign of an installed artificial column.
     pub(crate) fn set_diag_sign(&mut self, i: usize, sign: f64) {
-        self.lu.set_diag(i, sign);
+        Arc::make_mut(&mut self.lu).set_diag(i, sign);
+    }
+
+    /// The factor and eta file that represent the current basis, for
+    /// [`SparseBasis::install`] elsewhere: `L`/`U` are shared, the etas
+    /// copied.
+    pub(crate) fn factor_state(&self) -> (Arc<LuFactor>, EtaFile) {
+        (Arc::clone(&self.lu), self.etas.clone())
+    }
+
+    /// Adopts a factor and eta file captured by
+    /// [`SparseBasis::factor_state`] in place of a refactorization.
+    pub(crate) fn install(&mut self, lu: &Arc<LuFactor>, etas: &EtaFile) {
+        let m = lu.dim();
+        self.m = m;
+        self.lu = Arc::clone(lu);
+        self.etas.clone_from(etas);
+        self.work.resize(m, 0.0);
+        self.rhs.resize(m, 0.0);
     }
 
     #[cfg_attr(not(test), allow(dead_code))] // exercised by the unit tests
@@ -527,7 +565,7 @@ impl SparseBasis {
         match LuFactor::factor(m, col) {
             Ok(lu) => {
                 self.m = m;
-                self.lu = lu;
+                self.lu = Arc::new(lu);
                 self.etas.clear();
                 self.work.resize(m, 0.0);
                 self.rhs.resize(m, 0.0);

@@ -59,8 +59,8 @@ struct PathStep {
     parent: Option<Arc<PathStep>>,
     /// The parent node's optimal basis, for a warm-started re-solve.
     /// Shared (`Arc`) between siblings and cheap to hand across
-    /// work-stealing workers — the snapshot holds no factorization state,
-    /// so the stealing worker refactorizes into its own private workspace.
+    /// work-stealing workers — the snapshot is immutable, so the stealing
+    /// worker installs its factorization into its own private workspace.
     warm: Option<Arc<Basis>>,
 }
 

@@ -26,12 +26,16 @@
 //!   differential-testing oracle for the sparse path.
 //!
 //! Branch-and-bound re-solves are warm-started: [`Simplex::basis_snapshot`]
-//! captures the optimal basis of a parent node as a cheap [`Basis`] value,
-//! and [`Simplex::solve_warm`] restores it in a child (after a single bound
+//! captures the optimal basis of a parent node as a cheap [`Basis`] value
+//! (under the sparse engine together with its factorization), and
+//! [`Simplex::solve_warm`] restores it in a child (after a single bound
 //! change) and runs a bounded **dual simplex** until primal feasibility is
 //! restored — typically a handful of pivots instead of a full two-phase
-//! solve. A warm start that goes wrong (singular refactorization, pivot cap)
-//! is abandoned for the ordinary cold start, never failed.
+//! solve. The child's basis matrix is exactly the parent's, so the sparse
+//! engine installs the carried factor and only recomputes `x_B`; the dense
+//! engine refactorizes. A warm start that goes wrong (singular
+//! refactorization, pivot cap) is abandoned for the ordinary cold start,
+//! never failed.
 //!
 //! Numerical robustness: Dantzig pricing with a Bland's-rule fallback after
 //! a run of degenerate pivots, periodic refactorization on a tunable
@@ -44,7 +48,9 @@
 //! inside the [`Simplex`] value and reuses it across [`Simplex::solve`]
 //! calls — no per-node allocation of the constraint matrix.
 
-use crate::factor::SparseBasis;
+use std::sync::Arc;
+
+use crate::factor::{EtaFile, LuFactor, SparseBasis};
 use crate::fault::{FaultAction, FaultPlan, FaultSite};
 use crate::model::{Model, RowSense, Sense};
 use crate::stop::StopFlag;
@@ -117,16 +123,30 @@ impl SimplexEngine {
 }
 
 /// A snapshot of an optimal basis, handed from a branch-and-bound parent to
-/// its children for warm-started re-solves. Cheap to clone (two flat
-/// arrays) and intentionally free of any factorization state: the child
-/// refactorizes on installation, so snapshots can cross work-stealing
-/// worker threads untouched.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// its children for warm-started re-solves. Under the sparse engine it
+/// carries the parent's factorization, which a sparse child installs
+/// instead of refactorizing; the `L`/`U` factor is shared, so a clone
+/// copies only the basis arrays and the eta file. Snapshots are immutable
+/// and can cross work-stealing worker threads untouched.
+#[derive(Debug, Clone)]
 pub struct Basis {
     /// `basis[k]` = column (structural or slack) basic in row `k`.
     basis: Vec<u32>,
     /// Rest side of every nonbasic column (indexed by column).
     at_upper: Vec<bool>,
+    /// The sparse engine's representation of this basis; `None` when the
+    /// snapshot was taken under the dense engine.
+    factor: Option<CarriedFactor>,
+}
+
+/// A sparse factorization carried by a [`Basis`] from parent to child.
+#[derive(Debug, Clone)]
+struct CarriedFactor {
+    lu: Arc<LuFactor>,
+    etas: EtaFile,
+    /// Pivots absorbed since `lu` was built; the child inherits them, so
+    /// the refactorization cadence runs across a dive, not per node.
+    pivots_since_refactor: u64,
 }
 
 impl Basis {
@@ -151,7 +171,8 @@ pub struct LpOutcome {
     /// by this solve.
     pub iterations: u64,
     /// Basis (re)factorizations performed by this solve (scheduled rebuilds,
-    /// watchdog-forced ones, and warm-start installations).
+    /// watchdog-forced ones, and dense-engine warm-start installations; a
+    /// sparse warm start installs the carried factor without one).
     pub refactors: u64,
     /// Product-form eta updates absorbed by the sparse engine (0 under the
     /// dense engine).
@@ -432,6 +453,17 @@ impl Engine {
         }
     }
 
+    /// Installs a carried sparse factorization, switching representations
+    /// if needed.
+    fn install_sparse(&mut self, lu: &Arc<LuFactor>, etas: &EtaFile) {
+        if !matches!(self, Engine::Sparse(_)) {
+            *self = Engine::Sparse(Box::default());
+        }
+        if let Engine::Sparse(s) = self {
+            s.install(lu, etas);
+        }
+    }
+
     fn set_diag_sign(&mut self, i: usize, sign: f64) {
         match self {
             Engine::Dense(d) => d.set_diag_sign(i, sign),
@@ -561,7 +593,8 @@ impl Simplex {
     /// a caller bug.
     ///
     /// When `warm` carries a parent [`Basis`] (and `opts.warm_start` is on),
-    /// the snapshot basis is installed and refactorized, and a bounded dual
+    /// the snapshot basis is installed — with its carried factorization
+    /// under the sparse engine, refactorized otherwise — and a bounded dual
     /// simplex re-establishes primal feasibility before the ordinary primal
     /// clean-up pass; if anything goes wrong the restart is abandoned for a
     /// cold start ([`WarmStart::Abandoned`]), never failed.
@@ -614,7 +647,8 @@ impl Simplex {
             self.w.ftran_nanos,
             self.w.btran_nanos,
         );
-        init_work(p, &mut self.w, lb, ub, opts);
+        init_work(p, &mut self.w, lb, ub);
+        self.w.engine.reset(opts.engine, p.m);
         if carry == WarmStart::Abandoned {
             self.w.iterations += spent.0;
             self.w.refactors += spent.1;
@@ -639,9 +673,21 @@ impl Simplex {
         if w.basis.len() != p.m || w.basis.iter().any(|&bv| bv as usize >= p.n) {
             return None;
         }
+        let factor = match &w.engine {
+            Engine::Sparse(s) => {
+                let (lu, etas) = s.factor_state();
+                Some(CarriedFactor {
+                    lu,
+                    etas,
+                    pivots_since_refactor: w.pivots_since_refactor,
+                })
+            }
+            Engine::Dense(_) => None,
+        };
         Some(Basis {
             basis: w.basis.clone(),
             at_upper: w.at_upper[..p.n].to_vec(),
+            factor,
         })
     }
 }
@@ -677,7 +723,10 @@ fn for_col(p: &Problem, w: &Work, j: usize, mut f: impl FnMut(usize, f64)) {
     }
 }
 
-fn init_work(p: &Problem, w: &mut Work, lb: &[f64], ub: &[f64], opts: &SimplexOptions) {
+/// Resets the bounds, basis bookkeeping and counters to the slack start.
+/// The basis representation is left to the caller: a cold start resets it
+/// to the identity, a warm start installs or refactorizes the snapshot.
+fn init_work(p: &Problem, w: &mut Work, lb: &[f64], ub: &[f64]) {
     let m = p.m;
     w.lb.clear();
     w.ub.clear();
@@ -707,7 +756,6 @@ fn init_work(p: &Problem, w: &mut Work, lb: &[f64], ub: &[f64], opts: &SimplexOp
     for i in 0..m {
         w.basic_row[p.n_struct + i] = i as i32;
     }
-    w.engine.reset(opts.engine, m);
     w.xb.clear();
     w.xb.resize(m, 0.0);
     w.y.clear();
@@ -1139,7 +1187,7 @@ fn try_warm(
     ub: &[f64],
     opts: &SimplexOptions,
 ) -> WarmTry {
-    init_work(p, w, lb, ub, opts);
+    init_work(p, w, lb, ub);
     // Install the snapshot: nonbasic rest sides, then the basis itself.
     w.at_upper.copy_from_slice(&snap.at_upper);
     w.basic_row.iter_mut().for_each(|x| *x = -1);
@@ -1147,10 +1195,23 @@ fn try_warm(
     for (k, &bv) in w.basis.iter().enumerate() {
         w.basic_row[bv as usize] = k as i32;
     }
-    // Factorize the installed basis; a singular snapshot (possible after
-    // aggressive bound fixing) abandons the restart.
-    if !refactor(p, w) {
-        return WarmTry::Abandon;
+    // Only the bounds differ from the parent, so a carried sparse factor
+    // still represents this basis: install it and recompute x_B under the
+    // child's bounds. Its inherited pivots count toward the cadence.
+    // Otherwise factorize the installed basis; a singular snapshot
+    // (possible after aggressive bound fixing) abandons the restart.
+    match &snap.factor {
+        Some(f) if opts.engine == SimplexEngine::Sparse && f.lu.dim() == p.m => {
+            w.engine.install_sparse(&f.lu, &f.etas);
+            w.pivots_since_refactor = f.pivots_since_refactor;
+            recompute_xb(p, w);
+        }
+        _ => {
+            w.engine.reset(opts.engine, p.m);
+            if !refactor(p, w) {
+                return WarmTry::Abandon;
+            }
+        }
     }
     w.warm = WarmStart::Taken;
 
@@ -1727,6 +1788,151 @@ mod tests {
             let out = sx.solve_warm(&[0.0; 2], &[3.0, 3.0], &opts, Some(&snap));
             assert_eq!(out.status, LpStatus::Infeasible);
         }
+    }
+
+    /// A small LP whose children re-solve with a few dual pivots each: eight
+    /// bounded variables under four mixed-coefficient capacity rows.
+    fn branching_lp() -> Model {
+        let mut m = Model::new();
+        let xs: Vec<_> = (0..8)
+            .map(|j| m.num_var(0.0, 10.0, format!("x{j}")))
+            .collect();
+        m.set_objective(
+            Sense::Maximize,
+            xs.iter().enumerate().map(|(j, &x)| (x, 1.0 + j as f64)),
+        );
+        for r in 0..4 {
+            let coeffs = xs
+                .iter()
+                .enumerate()
+                .map(|(j, &x)| (x, 1.0 + ((3 * r + 5 * j) % 4) as f64));
+            m.add_le(coeffs, 20.0 + 5.0 * r as f64, format!("cap{r}"));
+        }
+        m
+    }
+
+    /// Halves the upper bound of the variable with the largest value — the
+    /// shape of a B&B down branch.
+    fn tighten_largest(values: &[f64], ub: &mut [f64]) {
+        let (j, &v) = values
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.total_cmp(b.1))
+            .expect("nonempty");
+        ub[j] = (v / 2.0).floor();
+    }
+
+    fn carried(snap: &Basis) -> &CarriedFactor {
+        snap.factor
+            .as_ref()
+            .expect("sparse snapshot carries its factor")
+    }
+
+    #[test]
+    fn carried_factor_warm_child_skips_refactor() {
+        let m = branching_lp();
+        let opts = opts_for(SimplexEngine::Sparse);
+        let mut sx = Simplex::new(&m);
+        let (lb, mut ub) = (vec![0.0; 8], vec![10.0; 8]);
+        let parent = sx.solve(&lb, &ub, &opts);
+        assert_eq!(parent.status, LpStatus::Optimal);
+        let snap = sx.basis_snapshot().expect("clean optimal basis");
+        tighten_largest(&parent.values, &mut ub);
+
+        let warm = sx.solve_warm(&lb, &ub, &opts, Some(&snap));
+        assert_eq!(warm.warm, WarmStart::Taken);
+        assert_eq!(warm.refactors, 0, "carried factor must not be rebuilt");
+        assert!(warm.iterations > 0, "child must need dual pivots");
+        let cold = Simplex::new(&m).solve(&lb, &ub, &opts);
+        assert_eq!(warm.status, cold.status);
+        assert!(
+            (warm.objective - cold.objective).abs() < 1e-7,
+            "warm {} vs cold {}",
+            warm.objective,
+            cold.objective
+        );
+    }
+
+    #[test]
+    fn sparse_snapshot_under_dense_engine_refactorizes() {
+        let m = branching_lp();
+        let mut sx = Simplex::new(&m);
+        let (lb, mut ub) = (vec![0.0; 8], vec![10.0; 8]);
+        let parent = sx.solve(&lb, &ub, &opts_for(SimplexEngine::Sparse));
+        let snap = sx.basis_snapshot().expect("clean optimal basis");
+        assert!(snap.factor.is_some(), "sparse snapshot carries its factor");
+        tighten_largest(&parent.values, &mut ub);
+
+        let dense = opts_for(SimplexEngine::Dense);
+        let warm = sx.solve_warm(&lb, &ub, &dense, Some(&snap));
+        assert_eq!(warm.warm, WarmStart::Taken);
+        assert!(warm.refactors >= 1, "dense engine must refactorize");
+        assert_eq!(warm.eta_pivots, 0, "the dense engine ran the child");
+        let cold = Simplex::new(&m).solve(&lb, &ub, &dense);
+        assert_eq!(warm.status, cold.status);
+        assert!((warm.objective - cold.objective).abs() < 1e-7);
+        // A dense snapshot carries nothing.
+        assert!(sx.basis_snapshot().expect("snapshot").factor.is_none());
+    }
+
+    #[test]
+    fn carried_restarts_refactor_on_inherited_cadence() {
+        // A dive of warm children, each restarting from the previous one's
+        // snapshot. The pivots inherited with the factor count toward
+        // `refactor_every`, so the dive refactorizes on the ordinary cadence
+        // even though no single child pivots that often.
+        let m = branching_lp();
+        let cadence = 3;
+        let opts = SimplexOptions {
+            refactor_every: cadence,
+            ..opts_for(SimplexEngine::Sparse)
+        };
+        let mut sx = Simplex::new(&m);
+        let (lb, mut ub) = (vec![0.0; 8], vec![10.0; 8]);
+        let mut out = sx.solve(&lb, &ub, &opts);
+        let (mut inherited_rebuilds, mut carried_pending) = (0, 0);
+        for depth in 0..6 {
+            let snap = sx.basis_snapshot().expect("clean optimal basis");
+            let inherited = carried(&snap).pivots_since_refactor;
+            // The cadence is checked before every pricing pass, so no
+            // optimal basis is left holding a full cadence of pivots.
+            assert!(inherited < cadence, "depth {depth}: cadence overrun");
+            tighten_largest(&out.values, &mut ub);
+            out = sx.solve_warm(&lb, &ub, &opts, Some(&snap));
+            assert_eq!(out.status, LpStatus::Optimal, "depth {depth}");
+            assert_eq!(out.warm, WarmStart::Taken, "depth {depth}");
+            let cold = Simplex::new(&m).solve(&lb, &ub, &opts);
+            assert!((out.objective - cold.objective).abs() < 1e-7);
+            let pending = inherited + out.eta_pivots;
+            if pending >= cadence {
+                assert!(out.refactors >= 1, "depth {depth}: cadence ignored");
+                if out.eta_pivots < cadence {
+                    inherited_rebuilds += 1;
+                }
+            } else {
+                assert_eq!(out.refactors, 0, "depth {depth}: early rebuild");
+                let after = sx.basis_snapshot().expect("snapshot");
+                assert_eq!(carried(&after).pivots_since_refactor, pending);
+                if inherited > 0 {
+                    carried_pending += 1;
+                }
+            }
+        }
+        assert!(
+            inherited_rebuilds > 0,
+            "no rebuild was due to inherited pivots"
+        );
+        assert!(carried_pending > 0, "no child carried pending pivots");
+    }
+
+    #[test]
+    fn basis_clone_shares_lu_factor() {
+        let m = branching_lp();
+        let mut sx = Simplex::new(&m);
+        sx.solve(&[0.0; 8], &[10.0; 8], &opts_for(SimplexEngine::Sparse));
+        let snap = sx.basis_snapshot().expect("clean optimal basis");
+        let copy = snap.clone();
+        assert!(Arc::ptr_eq(&carried(&snap).lu, &carried(&copy).lu));
     }
 
     #[test]

@@ -120,7 +120,8 @@ pub struct SolveStats {
     pub incumbents: u64,
     /// Basis refactorizations performed across all LP solves (the scheduled
     /// cadence set by [`SimplexOptions::refactor_every`](crate::SimplexOptions),
-    /// watchdog-forced rebuilds, and warm-start basis installations).
+    /// watchdog-forced rebuilds, and dense-engine warm-start installations;
+    /// a sparse warm start installs its parent's factor without one).
     pub refactors: u64,
     /// Product-form eta updates absorbed by the sparse basis engine across
     /// all LP solves (0 when the dense engine ran).

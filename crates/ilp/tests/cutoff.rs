@@ -64,10 +64,16 @@ fn cutoff_at_optimum_proves_nothing_better() {
 
 #[test]
 fn cutoff_reduces_search_effort() {
+    // Node counts are compared between serial searches: the work-stealing
+    // search's tree shape depends on thread timing.
     let (m, opt) = knapsack();
-    let base = m.solve();
+    let base = m.solve_with(SolveLimits {
+        threads: 1,
+        ..Default::default()
+    });
     let limits = SolveLimits {
         cutoff: Some(opt - 0.5),
+        threads: 1,
         ..Default::default()
     };
     let tight = m.solve_with(limits);
