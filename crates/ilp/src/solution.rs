@@ -138,6 +138,9 @@ pub struct SolveStats {
     /// Time spent in BTRAN solves (pricing and dual rows) across all LP
     /// solves.
     pub btran_time: Duration,
+    /// Time spent building basis factorizations across all LP solves,
+    /// including attempts that found the basis singular.
+    pub factor_time: Duration,
     /// LP relaxations abandoned by the degenerate-pivot stall watchdog
     /// ([`LpStatus::Stalled`](crate::LpStatus)).
     pub stalled_lps: u64,
@@ -184,6 +187,7 @@ impl SolveStats {
         self.warm_abandoned += other.warm_abandoned;
         self.ftran_time += other.ftran_time;
         self.btran_time += other.btran_time;
+        self.factor_time += other.factor_time;
         self.stalled_lps += other.stalled_lps;
         self.panics_recovered += other.panics_recovered;
         self.faults_injected += other.faults_injected;
@@ -266,6 +270,7 @@ mod tests {
             warm_abandoned: 1,
             ftran_time: Duration::from_millis(2),
             btran_time: Duration::from_millis(3),
+            factor_time: Duration::from_millis(6),
             stalled_lps: 1,
             panics_recovered: 0,
             faults_injected: 1,
@@ -289,6 +294,7 @@ mod tests {
             warm_abandoned: 0,
             ftran_time: Duration::from_millis(1),
             btran_time: Duration::from_millis(4),
+            factor_time: Duration::from_millis(8),
             stalled_lps: 0,
             panics_recovered: 4,
             faults_injected: 2,
@@ -313,6 +319,7 @@ mod tests {
             warm_abandoned,
             ftran_time,
             btran_time,
+            factor_time,
             stalled_lps,
             panics_recovered,
             faults_injected,
@@ -336,6 +343,7 @@ mod tests {
         assert_eq!(warm_abandoned, 1);
         assert_eq!(ftran_time, Duration::from_millis(3));
         assert_eq!(btran_time, Duration::from_millis(7));
+        assert_eq!(factor_time, Duration::from_millis(14));
         assert_eq!(stalled_lps, 1);
         assert_eq!(panics_recovered, 4);
         assert_eq!(faults_injected, 3);
