@@ -16,16 +16,21 @@
 //! the trail), so the engine shrinks them with **deletion-based MUS
 //! minimization**: drop one member, re-solve; if still unsat, the member
 //! was redundant (and the returned core refines the set further), if
-//! satisfiable the member is provably necessary. The result is then
-//! **certified** by two independent re-encodings that never saw a
-//! selector: the named subset alone must be unsatisfiable, and every
-//! single-member-dropped subset satisfiable — a *minimal unsatisfiable
-//! subset* in the literal sense, checked from scratch.
+//! satisfiable the member is provably necessary. The initial solve and
+//! every minimization step share one [`IncrementalSolver`], which keeps
+//! its learned clauses, activities and phases from one sub-solve to the
+//! next. The result is then **certified** by two independent re-encodings
+//! that never saw a selector, each solved from scratch: the named subset
+//! alone must be unsatisfiable, and every single-member-dropped subset
+//! satisfiable — a *minimal unsatisfiable subset* in the literal sense.
 //!
-//! Everything is budgeted by a deterministic count of sub-solves
-//! ([`ExplainOptions::mus_budget`]), not wall-clock, so explanation output
-//! is replayable; running out surfaces as lint `OM203` on an otherwise
-//! valid (but possibly non-minimal or uncertified) core.
+//! Minimization and certification are budgeted by a count of sub-solves
+//! ([`ExplainOptions::mus_budget`]); running out surfaces as lint `OM203`
+//! on an otherwise valid (but possibly non-minimal or uncertified) core.
+//! Every sub-solve also has the wall-clock [`ExplainOptions::time_limit`],
+//! and one that runs out of it ends minimization the same way. Output
+//! therefore replays exactly only when no sub-solve hits its wall limit;
+//! the count alone is deterministic.
 //!
 //! The surviving core maps to source-level findings with stable codes:
 //!
@@ -43,7 +48,7 @@ use optimod_ddg::Loop;
 use optimod_ilp::{Model, RowTag, StopFlag};
 use optimod_machine::Machine;
 use optimod_sat::{
-    encode_grouped, encode_subset, solve, solve_with_assumptions, AssumeOutcome, ConstraintGroup,
+    encode_grouped, encode_subset, solve, AssumeOutcome, ConstraintGroup, IncrementalSolver,
     SatLimits, SatOutcome, SlotDomains,
 };
 
@@ -66,8 +71,10 @@ pub struct ExplainOptions {
     /// default, `1` = serial). Results are order-deterministic either way.
     pub threads: usize,
     /// Total number of sub-solves minimization + certification may spend,
-    /// counted deterministically (no clocks), so `OM203` outcomes are
-    /// replayable. `0` keeps the raw core unminimized and uncertified.
+    /// counted deterministically (no clocks). `OM203` outcomes caused by
+    /// this count replay exactly; one caused by a sub-solve running out of
+    /// `time_limit` does not. `0` keeps the raw core unminimized and
+    /// uncertified.
     pub mus_budget: u64,
 }
 
@@ -195,7 +202,11 @@ pub fn explain_infeasible(
 ) -> ExplainOutcome {
     let g = encode_grouped(l, machine, ii, domains);
     let limits = sat_limits(opts);
-    let raw = match solve_with_assumptions(&g.enc.cnf, &g.selectors, &limits).0 {
+    // One solver answers the initial query and every minimization step,
+    // carrying learned clauses, activities and phases from one sub-solve
+    // to the next.
+    let mut solver = IncrementalSolver::new(&g.enc.cnf, &limits);
+    let raw = match solver.solve(&g.selectors).0 {
         AssumeOutcome::Sat(_) => return ExplainOutcome::Satisfiable,
         AssumeOutcome::Unknown => return ExplainOutcome::Budget,
         AssumeOutcome::Unsat(core) => g.core_groups(&core),
@@ -223,7 +234,7 @@ pub fn explain_infeasible(
             .filter(|&(j, _)| j != i)
             .map(|(_, &gi)| g.selectors[gi])
             .collect();
-        match solve_with_assumptions(&g.enc.cnf, &assumptions, &limits).0 {
+        match solver.solve(&assumptions).0 {
             AssumeOutcome::Unsat(ret) => {
                 let kept = g.core_groups(&ret);
                 core.retain(|gi| kept.binary_search(gi).is_ok());
@@ -236,8 +247,10 @@ pub fn explain_infeasible(
         }
     }
 
+    drop(solver);
+
     // Certification: selector-free re-encodings that never saw the
-    // grouped formula. The core subset alone must be unsat; dropping any
+    // grouped formula, each on a fresh solver. The core subset alone must be unsat; dropping any
     // single member must flip it to sat. Budgeted up front (1 + |core|
     // sub-solves) so the accounting stays deterministic under threading.
     let mut certified = false;

@@ -91,6 +91,7 @@ fn as_solve_stats(st: &SatStats) -> SolveStats {
         sat_conflicts: st.conflicts,
         sat_restarts: st.restarts,
         sat_learned: st.learned,
+        sat_deleted: st.deleted,
         faults_injected: st.faults_injected,
         ..Default::default()
     }

@@ -162,6 +162,9 @@ pub struct SolveStats {
     pub sat_restarts: u64,
     /// Portfolio SAT backend: clauses learned from conflicts.
     pub sat_learned: u64,
+    /// Portfolio SAT backend: learned clauses removed by clause-database
+    /// reduction.
+    pub sat_deleted: u64,
     /// Wall-clock time spent in the solver.
     pub wall_time: Duration,
 }
@@ -196,6 +199,7 @@ impl SolveStats {
         self.sat_conflicts += other.sat_conflicts;
         self.sat_restarts += other.sat_restarts;
         self.sat_learned += other.sat_learned;
+        self.sat_deleted += other.sat_deleted;
         self.wall_time += other.wall_time;
     }
 }
@@ -279,6 +283,7 @@ mod tests {
             sat_conflicts: 4,
             sat_restarts: 1,
             sat_learned: 3,
+            sat_deleted: 2,
             wall_time: Duration::from_millis(5),
         };
         let b = SolveStats {
@@ -303,6 +308,7 @@ mod tests {
             sat_conflicts: 6,
             sat_restarts: 2,
             sat_learned: 7,
+            sat_deleted: 5,
             wall_time: Duration::from_millis(7),
         };
         a.absorb(&b);
@@ -328,6 +334,7 @@ mod tests {
             sat_conflicts,
             sat_restarts,
             sat_learned,
+            sat_deleted,
             wall_time,
         } = a;
         // Model sizes keep the larger formulation; everything else sums.
@@ -352,6 +359,7 @@ mod tests {
         assert_eq!(sat_conflicts, 10);
         assert_eq!(sat_restarts, 3);
         assert_eq!(sat_learned, 10);
+        assert_eq!(sat_deleted, 7);
         assert_eq!(wall_time, Duration::from_millis(12));
     }
 

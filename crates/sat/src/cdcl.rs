@@ -1,11 +1,34 @@
-//! A small conflict-driven clause-learning SAT solver.
+//! A conflict-driven clause-learning SAT solver, one-shot or incremental.
 //!
-//! The classic architecture in miniature: two-watched-literal unit
-//! propagation, first-UIP conflict analysis with clause learning,
-//! VSIDS-style variable activities with phase saving, and Luby-sequence
-//! restarts. Everything is deterministic given [`SatLimits::seed`] — the
-//! seed only jitters the initial activity order, after which ties break by
-//! variable index — so portfolio runs and golden counters are replayable.
+//! One engine, MiniSat-style, serves both entry points:
+//!
+//! * **flat clause arena** — every clause is a two-word header (size;
+//!   learned/deleted flags and LBD) followed by its literals in one `u32`
+//!   vector, addressed by offset. Watch lists hold `(clause, blocker)`
+//!   pairs and are compacted in place while propagating; assignment values
+//!   are indexed by literal. A reason clause keeps its implied literal at
+//!   position 0, so conflict analysis never searches for it;
+//! * **VSIDS on a binary heap** — decisions pop the most active
+//!   unassigned variable (ties to the lower index), unassigned variables
+//!   re-enter on backtrack, and saved phases pick the polarity;
+//! * **first-UIP learning with recursive minimization** — MiniSat's
+//!   `litRedundant` over abstract decision levels drops every literal
+//!   implied by the rest of the clause;
+//! * **clause-database reduction** — each learned clause carries its LBD
+//!   (distinct decision levels); at 2000 conflicts, then at intervals
+//!   growing by 300, the worse half of the learned clauses (highest LBD,
+//!   then oldest) is deleted, sparing LBD ≤ 2 clauses and current reasons,
+//!   and the arena is compacted;
+//! * **Luby restarts** (base 128) and **assumptions** placed as
+//!   pseudo-decisions ahead of the search, with final-conflict analysis
+//!   returning the unsat core.
+//!
+//! [`IncrementalSolver`] keeps learned clauses, activities and phases
+//! between calls with different assumptions; [`solve`] and
+//! [`solve_with_assumptions`] are one-call wrappers around it. Everything
+//! is deterministic given [`SatLimits::seed`] — the seed only jitters the
+//! initial activity order, after which ties break by variable index — so
+//! portfolio runs and golden counters are replayable.
 //!
 //! The solver observes the same cooperative machinery as the ILP solver:
 //! the shared [`StopFlag`] (checked between conflicts) and the seeded
@@ -18,6 +41,11 @@
 use std::time::{Duration, Instant};
 
 use optimod_ilp::{FaultAction, FaultPlan, FaultSite, StopFlag};
+
+#[cfg(test)]
+mod differential;
+#[cfg(test)]
+mod reference;
 
 /// A propositional literal: variable index with a sign bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -50,7 +78,7 @@ impl Lit {
         Lit(self.0 ^ 1)
     }
 
-    /// Dense index (for watch lists): `2*var + sign`.
+    /// Dense index (for watch lists and values): `2*var + sign`.
     fn index(self) -> usize {
         self.0 as usize
     }
@@ -174,11 +202,14 @@ pub struct SatStats {
     pub restarts: u64,
     /// Clauses learned by 1-UIP analysis.
     pub learned: u64,
+    /// Learned clauses removed by clause-database reduction.
+    pub deleted: u64,
     /// Fault-plan injections that tripped inside this solve.
     pub faults_injected: u64,
 }
 
-/// Limits and shared machinery for one SAT solve.
+/// Limits and shared machinery for one SAT solve (for an
+/// [`IncrementalSolver`], for each call).
 #[derive(Debug, Clone)]
 pub struct SatLimits {
     /// Wall-clock budget.
@@ -236,93 +267,389 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-struct Solver<'a> {
-    clauses: Vec<Vec<Lit>>,
-    /// `watches[lit.index()]`: clause indices watching `lit`.
-    watches: Vec<Vec<usize>>,
-    assign: Vec<i8>,
+/// Offset of a clause's header in the [`ClauseArena`].
+type CRef = u32;
+
+/// Reason of a decision, an assumption, or a level-0 unit.
+const NO_REASON: CRef = CRef::MAX;
+
+/// Header words ahead of each clause's literals: size, then flags.
+const HEADER: usize = 2;
+const FLAG_LEARNED: u32 = 1;
+const FLAG_DELETED: u32 = 2;
+const LBD_SHIFT: u32 = 2;
+
+/// Learned clauses with at most this LBD ("glue" clauses) survive every
+/// reduction.
+const KEEP_LBD: u32 = 2;
+/// Conflicts before the first clause-database reduction; each later
+/// interval is [`REDUCE_STEP`] longer than the one before.
+const REDUCE_FIRST: u64 = 2000;
+const REDUCE_STEP: u64 = 300;
+/// Conflicts in the first Luby restart segment.
+const RESTART_BASE: u64 = 128;
+
+/// Flat clause store: each clause is `[size, flags | lbd << 2, lits...]`
+/// in one vector, so a clause is one contiguous run of memory and its
+/// reference is a `u32` offset.
+#[derive(Debug, Default)]
+struct ClauseArena {
+    words: Vec<u32>,
+}
+
+impl ClauseArena {
+    fn alloc(&mut self, lits: &[Lit], learned: bool, lbd: u32) -> CRef {
+        let c = CRef::try_from(self.words.len())
+            .ok()
+            .filter(|&c| c != NO_REASON)
+            .expect("clause arena exceeds u32 offsets");
+        self.words.push(lits.len() as u32);
+        let flags = if learned { FLAG_LEARNED } else { 0 };
+        self.words
+            .push(flags | (lbd.min(u32::MAX >> LBD_SHIFT) << LBD_SHIFT));
+        self.words.extend(lits.iter().map(|l| l.0));
+        c
+    }
+
+    fn len(&self, c: CRef) -> usize {
+        self.words[c as usize] as usize
+    }
+
+    fn lit(&self, c: CRef, i: usize) -> Lit {
+        Lit(self.words[c as usize + HEADER + i])
+    }
+
+    fn swap(&mut self, c: CRef, i: usize, j: usize) {
+        let base = c as usize + HEADER;
+        self.words.swap(base + i, base + j);
+    }
+
+    fn lbd(&self, c: CRef) -> u32 {
+        self.words[c as usize + 1] >> LBD_SHIFT
+    }
+
+    fn is_deleted(&self, c: CRef) -> bool {
+        self.words[c as usize + 1] & FLAG_DELETED != 0
+    }
+
+    fn delete(&mut self, c: CRef) {
+        debug_assert!(self.words[c as usize + 1] & FLAG_LEARNED != 0);
+        self.words[c as usize + 1] |= FLAG_DELETED;
+    }
+
+    /// Clause references in arena (= creation) order.
+    fn refs(&self) -> impl Iterator<Item = CRef> + '_ {
+        let mut c = 0usize;
+        std::iter::from_fn(move || {
+            (c < self.words.len()).then(|| {
+                let at = c;
+                c += HEADER + self.words[at] as usize;
+                at as CRef
+            })
+        })
+    }
+
+    /// Slides every live clause down over the deleted ones, preserving
+    /// order, and returns the `(old, new)` offsets of the clauses that
+    /// moved, ascending by old offset.
+    fn compact(&mut self) -> Vec<(CRef, CRef)> {
+        let mut moved = Vec::new();
+        let (mut read, mut write) = (0usize, 0usize);
+        while read < self.words.len() {
+            let span = HEADER + self.words[read] as usize;
+            if self.words[read + 1] & FLAG_DELETED == 0 {
+                if read != write {
+                    self.words.copy_within(read..read + span, write);
+                    moved.push((read as CRef, write as CRef));
+                }
+                write += span;
+            }
+            read += span;
+        }
+        self.words.truncate(write);
+        moved
+    }
+}
+
+/// One watch-list entry: a clause watching the list's literal, plus a
+/// *blocker* — another literal of the clause whose truth lets
+/// propagation skip the clause without touching the arena.
+#[derive(Debug, Clone, Copy)]
+struct Watcher {
+    cref: CRef,
+    blocker: Lit,
+}
+
+/// Binary max-heap of variables keyed by activity; equal activities put
+/// the lower variable index first, so the heap's maximum is unique.
+#[derive(Debug)]
+struct VarHeap {
+    heap: Vec<u32>,
+    /// Position of each variable in `heap`, or [`VarHeap::ABSENT`].
+    pos: Vec<u32>,
+}
+
+impl VarHeap {
+    const ABSENT: u32 = u32::MAX;
+
+    fn above(act: &[f64], a: u32, b: u32) -> bool {
+        let (x, y) = (act[a as usize], act[b as usize]);
+        x > y || (x == y && a < b)
+    }
+
+    /// A heap holding every variable.
+    fn full(act: &[f64]) -> VarHeap {
+        let mut h = VarHeap {
+            heap: (0..act.len() as u32).collect(),
+            pos: (0..act.len() as u32).collect(),
+        };
+        h.heapify(act);
+        h
+    }
+
+    fn heapify(&mut self, act: &[f64]) {
+        for i in (0..self.heap.len() / 2).rev() {
+            self.sift_down(i, act);
+        }
+    }
+
+    fn contains(&self, v: usize) -> bool {
+        self.pos[v] != Self::ABSENT
+    }
+
+    fn insert(&mut self, v: usize, act: &[f64]) {
+        if !self.contains(v) {
+            self.pos[v] = self.heap.len() as u32;
+            self.heap.push(v as u32);
+            self.sift_up(self.heap.len() - 1, act);
+        }
+    }
+
+    /// Restores the heap after `v`'s activity grew.
+    fn increased(&mut self, v: usize, act: &[f64]) {
+        if self.contains(v) {
+            self.sift_up(self.pos[v] as usize, act);
+        }
+    }
+
+    fn pop(&mut self, act: &[f64]) -> Option<usize> {
+        let top = *self.heap.first()?;
+        let last = self.heap.pop().expect("non-empty");
+        self.pos[top as usize] = Self::ABSENT;
+        if !self.heap.is_empty() {
+            self.heap[0] = last;
+            self.pos[last as usize] = 0;
+            self.sift_down(0, act);
+        }
+        Some(top as usize)
+    }
+
+    fn sift_up(&mut self, mut i: usize, act: &[f64]) {
+        let v = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if !Self::above(act, v, self.heap[parent]) {
+                break;
+            }
+            self.heap[i] = self.heap[parent];
+            self.pos[self.heap[i] as usize] = i as u32;
+            i = parent;
+        }
+        self.heap[i] = v;
+        self.pos[v as usize] = i as u32;
+    }
+
+    fn sift_down(&mut self, mut i: usize, act: &[f64]) {
+        let v = self.heap[i];
+        loop {
+            let left = 2 * i + 1;
+            if left >= self.heap.len() {
+                break;
+            }
+            let right = left + 1;
+            let child =
+                if right < self.heap.len() && Self::above(act, self.heap[right], self.heap[left]) {
+                    right
+                } else {
+                    left
+                };
+            if !Self::above(act, self.heap[child], v) {
+                break;
+            }
+            self.heap[i] = self.heap[child];
+            self.pos[self.heap[i] as usize] = i as u32;
+            i = child;
+        }
+        self.heap[i] = v;
+        self.pos[v as usize] = i as u32;
+    }
+}
+
+/// A CDCL solver that answers a sequence of assumption queries over one
+/// formula, keeping learned clauses, variable activities and saved phases
+/// from call to call.
+///
+/// Every learned clause is implied by the formula alone (assumptions enter
+/// as decisions, never as premises), so what one call learns stays sound
+/// for the next. Each [`IncrementalSolver::solve`] call gets the full wall
+/// and conflict budget of the [`SatLimits`] the solver was built with,
+/// reports the effort of that call only, and ends back at decision
+/// level 0. Once a call proves the formula unsatisfiable on its own
+/// (`Unsat` with an empty core), every later call returns the same.
+#[derive(Debug)]
+pub struct IncrementalSolver {
+    arena: ClauseArena,
+    /// Live learned clauses (length ≥ 2). An offset orders clauses by
+    /// age, so reduction needs no other timestamp.
+    learnts: Vec<CRef>,
+    /// `watches[lit.index()]`: clauses whose first two literals include
+    /// `lit`.
+    watches: Vec<Vec<Watcher>>,
+    /// `vals[lit.index()]`: the literal's current value.
+    vals: Vec<i8>,
     level: Vec<u32>,
-    reason: Vec<usize>, // usize::MAX = decision / unset
+    /// Meaningful for assigned variables only.
+    reason: Vec<CRef>,
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     qhead: usize,
     activity: Vec<f64>,
     var_inc: f64,
+    order: VarHeap,
     phase: Vec<bool>,
     seen: Vec<bool>,
+    /// Conflict-analysis scratch, reused across conflicts.
+    learned_buf: Vec<Lit>,
+    analyze_stack: Vec<Lit>,
+    analyze_toclear: Vec<Lit>,
+    level_stamp: Vec<u64>,
+    stamp: u64,
+    /// Conflicts over the solver's lifetime; drives the reduction schedule.
+    total_conflicts: u64,
+    next_reduce: u64,
+    reduce_interval: u64,
+    /// `false` once the formula is refuted without assumptions.
+    ok: bool,
     stats: SatStats,
-    limits: &'a SatLimits,
+    limits: SatLimits,
     start: Instant,
     interrupted: bool,
 }
 
-const NO_REASON: usize = usize::MAX;
-
-impl<'a> Solver<'a> {
-    fn new(cnf: &Cnf, limits: &'a SatLimits) -> Solver<'a> {
+impl IncrementalSolver {
+    /// Loads `cnf`; every later [`IncrementalSolver::solve`] call runs
+    /// under `limits` (the stop flag and fault plan are shared with the
+    /// caller's copy).
+    pub fn new(cnf: &Cnf, limits: &SatLimits) -> IncrementalSolver {
         let n = cnf.num_vars();
         let mut seed = limits.seed ^ 0x5EED_CDC1;
-        let activity = (0..n)
+        let activity: Vec<f64> = (0..n)
             .map(|_| (splitmix64(&mut seed) % 1024) as f64 * 1e-9)
             .collect();
-        Solver {
-            clauses: Vec::with_capacity(cnf.num_clauses()),
+        let mut s = IncrementalSolver {
+            arena: ClauseArena::default(),
+            learnts: Vec::new(),
             watches: vec![Vec::new(); 2 * n],
-            assign: vec![UNASSIGNED; n],
+            vals: vec![UNASSIGNED; 2 * n],
             level: vec![0; n],
             reason: vec![NO_REASON; n],
             trail: Vec::with_capacity(n),
             trail_lim: Vec::new(),
             qhead: 0,
+            order: VarHeap::full(&activity),
             activity,
             var_inc: 1.0,
             phase: vec![false; n],
             seen: vec![false; n],
+            learned_buf: Vec::new(),
+            analyze_stack: Vec::new(),
+            analyze_toclear: Vec::new(),
+            level_stamp: vec![0; n + 1],
+            stamp: 0,
+            total_conflicts: 0,
+            next_reduce: REDUCE_FIRST,
+            reduce_interval: REDUCE_FIRST,
+            ok: true,
             stats: SatStats::default(),
-            limits,
+            limits: limits.clone(),
             start: Instant::now(),
             interrupted: false,
+        };
+        let mut scratch = Vec::new();
+        for clause in cnf.clauses() {
+            if !s.add_clause(clause, &mut scratch) {
+                s.ok = false;
+                break;
+            }
         }
+        s
+    }
+
+    /// Solves under `assumptions`. An unsatisfiable answer carries the
+    /// subset of `assumptions` its refutation used (empty when the formula
+    /// is unsatisfiable on its own); `Unknown` means the call's budget,
+    /// the stop flag or an injected fault ended it without a verdict.
+    /// The returned stats cover this call only.
+    pub fn solve(&mut self, assumptions: &[Lit]) -> (AssumeOutcome, SatStats) {
+        let outcome = if !self.ok {
+            AssumeOutcome::Unsat(Vec::new())
+        } else if self.interrupted {
+            // A fault tripped while the formula was loading.
+            AssumeOutcome::Unknown
+        } else {
+            self.start = Instant::now();
+            let out = self.search(assumptions);
+            self.backtrack(0);
+            out
+        };
+        self.interrupted = false;
+        (outcome, std::mem::take(&mut self.stats))
     }
 
     fn value(&self, l: Lit) -> i8 {
-        let v = self.assign[l.var()];
-        if l.is_neg() {
-            -v
-        } else {
-            v
-        }
+        self.vals[l.index()]
     }
 
     fn decision_level(&self) -> u32 {
         self.trail_lim.len() as u32
     }
 
-    fn enqueue(&mut self, l: Lit, reason: usize) {
+    fn enqueue(&mut self, l: Lit, reason: CRef) {
         debug_assert_eq!(self.value(l), UNASSIGNED);
-        self.assign[l.var()] = if l.is_neg() { VAL_FALSE } else { VAL_TRUE };
+        self.vals[l.index()] = VAL_TRUE;
+        self.vals[l.negated().index()] = VAL_FALSE;
         self.level[l.var()] = self.decision_level();
         self.reason[l.var()] = reason;
-        self.phase[l.var()] = !l.is_neg();
         self.trail.push(l);
         self.stats.propagations += 1;
     }
 
-    /// Installs a problem clause. Returns `false` on an immediate
-    /// top-level conflict (empty clause or falsified unit).
-    fn add_clause(&mut self, lits: &[Lit]) -> bool {
+    fn attach(&mut self, c: CRef) {
+        let (a, b) = (self.arena.lit(c, 0), self.arena.lit(c, 1));
+        self.watches[a.index()].push(Watcher {
+            cref: c,
+            blocker: b,
+        });
+        self.watches[b.index()].push(Watcher {
+            cref: c,
+            blocker: a,
+        });
+    }
+
+    /// Installs a problem clause at level 0. Returns `false` on an
+    /// immediate top-level conflict (empty clause or falsified unit).
+    fn add_clause(&mut self, lits: &[Lit], c: &mut Vec<Lit>) -> bool {
         // Simplify: drop falsified-at-level-0 literals, detect tautologies
         // and satisfied clauses, dedup.
-        let mut c: Vec<Lit> = Vec::with_capacity(lits.len());
+        c.clear();
         for &l in lits {
-            if self.value(l) == VAL_TRUE {
-                return true; // already satisfied at level 0
-            }
-            if self.value(l) == VAL_FALSE {
-                continue; // falsified at level 0: drop
+            match self.value(l) {
+                VAL_TRUE => return true,
+                VAL_FALSE => continue,
+                _ => {}
             }
             if c.contains(&l.negated()) {
-                return true; // tautology
+                return true;
             }
             if !c.contains(&l) {
                 c.push(l);
@@ -335,59 +662,79 @@ impl<'a> Solver<'a> {
                 self.propagate().is_none()
             }
             _ => {
-                let idx = self.clauses.len();
-                self.watches[c[0].index()].push(idx);
-                self.watches[c[1].index()].push(idx);
-                self.clauses.push(c);
+                let cref = self.arena.alloc(c, false, 0);
+                self.attach(cref);
                 true
             }
         }
     }
 
-    /// Unit propagation; returns a conflicting clause index, if any.
-    fn propagate(&mut self) -> Option<usize> {
+    /// Unit propagation; returns a conflicting clause, if any.
+    fn propagate(&mut self) -> Option<CRef> {
         if let Some(action) = self.fire(FaultSite::SatPropagate) {
             self.apply_fault(action);
             if self.interrupted {
                 return None;
             }
         }
-        while self.qhead < self.trail.len() {
+        let mut conflict = None;
+        while conflict.is_none() && self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             let false_lit = p.negated();
-            let mut i = 0;
-            'clauses: while i < self.watches[false_lit.index()].len() {
-                let ci = self.watches[false_lit.index()][i];
-                // Normalize: the false literal sits at position 1.
-                if self.clauses[ci][0] == false_lit {
-                    self.clauses[ci].swap(0, 1);
+            let mut ws = std::mem::take(&mut self.watches[false_lit.index()]);
+            let (mut i, mut j) = (0, 0);
+            while i < ws.len() {
+                let w = ws[i];
+                i += 1;
+                if self.value(w.blocker) == VAL_TRUE {
+                    ws[j] = w;
+                    j += 1;
+                    continue;
                 }
-                debug_assert_eq!(self.clauses[ci][1], false_lit);
-                let first = self.clauses[ci][0];
-                if self.value(first) == VAL_TRUE {
-                    i += 1;
+                // Normalize: the false literal sits at position 1.
+                let c = w.cref;
+                if self.arena.lit(c, 0) == false_lit {
+                    self.arena.swap(c, 0, 1);
+                }
+                debug_assert_eq!(self.arena.lit(c, 1), false_lit);
+                let first = self.arena.lit(c, 0);
+                let kept = Watcher {
+                    cref: c,
+                    blocker: first,
+                };
+                if first != w.blocker && self.value(first) == VAL_TRUE {
+                    ws[j] = kept;
+                    j += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                for k in 2..self.clauses[ci].len() {
-                    let l = self.clauses[ci][k];
-                    if self.value(l) != VAL_FALSE {
-                        self.clauses[ci].swap(1, k);
-                        self.watches[false_lit.index()].swap_remove(i);
-                        self.watches[l.index()].push(ci);
-                        continue 'clauses;
-                    }
+                if let Some(k) =
+                    (2..self.arena.len(c)).find(|&k| self.value(self.arena.lit(c, k)) != VAL_FALSE)
+                {
+                    self.arena.swap(c, 1, k);
+                    self.watches[self.arena.lit(c, 1).index()].push(kept);
+                    continue;
                 }
-                // Unit or conflicting.
+                // Unit or conflicting; the clause keeps watching.
+                ws[j] = kept;
+                j += 1;
                 if self.value(first) == VAL_FALSE {
-                    return Some(ci);
+                    conflict = Some(c);
+                    self.qhead = self.trail.len();
+                    while i < ws.len() {
+                        ws[j] = ws[i];
+                        i += 1;
+                        j += 1;
+                    }
+                } else {
+                    self.enqueue(first, c);
                 }
-                self.enqueue(first, ci);
-                i += 1;
             }
+            ws.truncate(j);
+            self.watches[false_lit.index()] = ws;
         }
-        None
+        conflict
     }
 
     fn bump(&mut self, v: usize) {
@@ -397,29 +744,41 @@ impl<'a> Solver<'a> {
                 *a *= 1e-100;
             }
             self.var_inc *= 1e-100;
+            // Rescaling can round neighbours together; re-establish the
+            // tie order.
+            self.order.heapify(&self.activity);
         }
+        self.order.increased(v, &self.activity);
     }
 
-    /// First-UIP conflict analysis: returns the learned clause (asserting
-    /// literal first) and the backjump level.
-    fn analyze(&mut self, conflict: usize) -> (Vec<Lit>, u32) {
+    fn abstract_level(&self, v: usize) -> u32 {
+        1 << (self.level[v] & 31)
+    }
+
+    /// First-UIP conflict analysis with recursive clause minimization:
+    /// returns the learned clause (asserting literal first, a
+    /// backjump-level literal second), the backjump level and the LBD.
+    fn analyze(&mut self, conflict: CRef) -> (Vec<Lit>, u32, u32) {
         if let Some(action) = self.fire(FaultSite::SatAnalyze) {
             self.apply_fault(action);
         }
-        let mut learned: Vec<Lit> = vec![Lit::pos(0)]; // placeholder for the UIP
+        let mut learned = std::mem::take(&mut self.learned_buf);
+        learned.clear();
+        learned.push(Lit(0)); // placeholder for the UIP
+        let current = self.decision_level();
         let mut counter = 0usize;
-        let mut p: Option<Lit> = None;
-        let mut ci = conflict;
+        let mut c = conflict;
+        let mut skip_first = false;
         let mut trail_idx = self.trail.len();
         loop {
-            let start = if p.is_some() { 1 } else { 0 };
-            for k in start..self.clauses[ci].len() {
-                let q = self.clauses[ci][k];
+            // A reason's position 0 is the literal it implied.
+            for k in usize::from(skip_first)..self.arena.len(c) {
+                let q = self.arena.lit(c, k);
                 let v = q.var();
                 if !self.seen[v] && self.level[v] > 0 {
                     self.seen[v] = true;
                     self.bump(v);
-                    if self.level[v] == self.decision_level() {
+                    if self.level[v] >= current {
                         counter += 1;
                     } else {
                         learned.push(q);
@@ -440,59 +799,130 @@ impl<'a> Solver<'a> {
                 learned[0] = lit.negated();
                 break;
             }
-            p = Some(lit);
-            ci = self.reason[lit.var()];
-            debug_assert_ne!(ci, NO_REASON, "non-decision must have a reason");
-            // Normalize so the implied literal is at position 0.
-            if self.clauses[ci][0] != lit {
-                let pos = self.clauses[ci]
-                    .iter()
-                    .position(|&l| l == lit)
-                    .expect("reason clause contains its implied literal");
-                self.clauses[ci].swap(0, pos);
+            c = self.reason[lit.var()];
+            debug_assert_ne!(c, NO_REASON, "non-decision must have a reason");
+            debug_assert_eq!(self.arena.lit(c, 0), lit, "reason keeps its literal first");
+            skip_first = true;
+        }
+
+        // Drop every literal implied by the others (MiniSat's
+        // `litRedundant`); decisions and assumptions always stay.
+        self.analyze_toclear.clear();
+        self.analyze_toclear.extend_from_slice(&learned);
+        let levels = learned[1..]
+            .iter()
+            .fold(0u32, |acc, l| acc | self.abstract_level(l.var()));
+        let mut kept = 1;
+        for i in 1..learned.len() {
+            let l = learned[i];
+            if self.reason[l.var()] == NO_REASON || !self.lit_redundant(l, levels) {
+                learned[kept] = l;
+                kept += 1;
             }
         }
-        for l in &learned {
-            self.seen[l.var()] = false;
+        learned.truncate(kept);
+        for k in 0..self.analyze_toclear.len() {
+            let v = self.analyze_toclear[k].var();
+            self.seen[v] = false;
         }
-        let back_level = learned[1..]
-            .iter()
-            .map(|l| self.level[l.var()])
-            .max()
-            .unwrap_or(0);
+
         // Put a maximum-level literal at position 1 so it gets watched.
+        let mut back_level = 0;
         if learned.len() > 1 {
-            let pos = 1 + learned[1..]
-                .iter()
-                .position(|l| self.level[l.var()] == back_level)
-                .expect("max exists");
-            learned.swap(1, pos);
+            let mut best = 1;
+            for i in 2..learned.len() {
+                if self.level[learned[i].var()] > self.level[learned[best].var()] {
+                    best = i;
+                }
+            }
+            learned.swap(1, best);
+            back_level = self.level[learned[1].var()];
         }
+        let lbd = self.lbd(&learned);
         self.var_inc /= 0.95;
-        (learned, back_level)
+        (learned, back_level, lbd)
+    }
+
+    /// Whether `p` (a marked literal of the clause being learned) is
+    /// implied by the other marked literals: a depth-first walk through
+    /// reason clauses that may only end at marked literals or at level 0.
+    /// `levels` is the abstraction of the clause's decision levels; a
+    /// reason literal outside it cannot be implied and fails fast.
+    fn lit_redundant(&mut self, p: Lit, levels: u32) -> bool {
+        self.analyze_stack.clear();
+        self.analyze_stack.push(p);
+        let top = self.analyze_toclear.len();
+        while let Some(q) = self.analyze_stack.pop() {
+            let c = self.reason[q.var()];
+            debug_assert_ne!(c, NO_REASON);
+            for k in 1..self.arena.len(c) {
+                let l = self.arena.lit(c, k);
+                let v = l.var();
+                if self.seen[v] || self.level[v] == 0 {
+                    continue;
+                }
+                if self.reason[v] != NO_REASON && self.abstract_level(v) & levels != 0 {
+                    self.seen[v] = true;
+                    self.analyze_stack.push(l);
+                    self.analyze_toclear.push(l);
+                } else {
+                    for &m in &self.analyze_toclear[top..] {
+                        self.seen[m.var()] = false;
+                    }
+                    self.analyze_toclear.truncate(top);
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// Literal block distance: the number of distinct decision levels
+    /// among `lits`.
+    fn lbd(&mut self, lits: &[Lit]) -> u32 {
+        self.stamp += 1;
+        let mut n = 0;
+        for l in lits {
+            let lv = self.level[l.var()] as usize;
+            if lv >= self.level_stamp.len() {
+                // Implied assumptions open empty levels, so levels can
+                // outnumber variables.
+                self.level_stamp.resize(lv + 1, 0);
+            }
+            if self.level_stamp[lv] != self.stamp {
+                self.level_stamp[lv] = self.stamp;
+                n += 1;
+            }
+        }
+        n
     }
 
     fn backtrack(&mut self, level: u32) {
-        while self.decision_level() > level {
-            let lim = self.trail_lim.pop().expect("level > 0");
-            for l in self.trail.drain(lim..) {
-                self.assign[l.var()] = UNASSIGNED;
-                self.reason[l.var()] = NO_REASON;
-            }
+        if self.decision_level() <= level {
+            return;
         }
-        self.qhead = self.trail.len();
+        let lim = self.trail_lim[level as usize];
+        for k in (lim..self.trail.len()).rev() {
+            let l = self.trail[k];
+            self.vals[l.index()] = UNASSIGNED;
+            self.vals[l.negated().index()] = UNASSIGNED;
+            self.phase[l.var()] = !l.is_neg();
+            self.order.insert(l.var(), &self.activity);
+        }
+        self.trail.truncate(lim);
+        self.trail_lim.truncate(level as usize);
+        self.qhead = lim;
     }
 
     fn decide(&mut self) -> bool {
-        let mut best: Option<usize> = None;
-        for v in 0..self.assign.len() {
-            if self.assign[v] == UNASSIGNED
-                && best.is_none_or(|b| self.activity[v] > self.activity[b])
-            {
-                best = Some(v);
+        let next = loop {
+            match self.order.pop(&self.activity) {
+                Some(v) if self.vals[Lit::pos(v).index()] == UNASSIGNED => break Some(v),
+                Some(_) => continue,
+                None => break None,
             }
-        }
-        let Some(v) = best else {
+        };
+        let Some(v) = next else {
             return false;
         };
         self.stats.decisions += 1;
@@ -504,6 +934,87 @@ impl<'a> Solver<'a> {
         };
         self.enqueue(lit, NO_REASON);
         true
+    }
+
+    /// A reason clause of a current assignment, which reduction must keep.
+    fn locked(&self, c: CRef) -> bool {
+        let first = self.arena.lit(c, 0);
+        self.value(first) == VAL_TRUE && self.reason[first.var()] == c
+    }
+
+    /// Deletes the worse half of the learned clauses — highest LBD first,
+    /// oldest first among equals — except glue clauses and current
+    /// reasons, then compacts the arena and renumbers every reference.
+    fn reduce_db(&mut self) {
+        self.reduce_interval += REDUCE_STEP;
+        self.next_reduce += self.reduce_interval;
+        let mut ranked = std::mem::take(&mut self.learnts);
+        ranked.sort_unstable_by(|&a, &b| self.arena.lbd(b).cmp(&self.arena.lbd(a)).then(a.cmp(&b)));
+        let half = ranked.len() / 2;
+        for &c in &ranked[..half] {
+            if self.arena.lbd(c) > KEEP_LBD && !self.locked(c) {
+                self.arena.delete(c);
+                self.stats.deleted += 1;
+            }
+        }
+        ranked.retain(|&c| !self.arena.is_deleted(c));
+        for ws in &mut self.watches {
+            ws.retain(|w| !self.arena.is_deleted(w.cref));
+        }
+
+        let moved = self.arena.compact();
+        let renumber = |c: &mut CRef| {
+            if let Ok(i) = moved.binary_search_by_key(c, |m| m.0) {
+                *c = moved[i].1;
+            }
+        };
+        ranked.iter_mut().for_each(&renumber);
+        for ws in &mut self.watches {
+            ws.iter_mut().for_each(|w| renumber(&mut w.cref));
+        }
+        for l in &self.trail {
+            let r = &mut self.reason[l.var()];
+            if *r != NO_REASON {
+                renumber(r);
+            }
+        }
+        self.learnts = ranked;
+        debug_assert!(self.db_consistent());
+    }
+
+    /// Clause-database invariants after a reduction: every clause in the
+    /// arena is live and watched by exactly its first two literals, no
+    /// watcher points anywhere else, and every reason of the trail is a
+    /// live clause implying its literal from position 0.
+    fn db_consistent(&self) -> bool {
+        let mut watched_by: std::collections::HashMap<CRef, Vec<Lit>> = self
+            .arena
+            .refs()
+            .map(|c| (c, Vec::with_capacity(2)))
+            .collect();
+        for (li, ws) in self.watches.iter().enumerate() {
+            for w in ws {
+                match watched_by.get_mut(&w.cref) {
+                    Some(lits) => lits.push(Lit(li as u32)),
+                    None => return false, // dangling watcher
+                }
+            }
+        }
+        let clauses_ok = self.arena.refs().all(|c| {
+            let mut first_two = [self.arena.lit(c, 0), self.arena.lit(c, 1)];
+            first_two.sort_unstable_by_key(|l| l.0);
+            let mut seen = watched_by[&c].clone();
+            seen.sort_unstable_by_key(|l| l.0);
+            !self.arena.is_deleted(c) && seen == first_two
+        });
+        let reasons_ok = self.trail.iter().all(|&l| {
+            let r = self.reason[l.var()];
+            r == NO_REASON
+                || (watched_by.contains_key(&r)
+                    && !self.arena.is_deleted(r)
+                    && self.arena.lit(r, 0) == l)
+        });
+        clauses_ok && reasons_ok && self.learnts.iter().all(|c| watched_by.contains_key(c))
     }
 
     fn fire(&mut self, site: FaultSite) -> Option<FaultAction> {
@@ -552,15 +1063,15 @@ impl<'a> Solver<'a> {
             if !self.seen[v] {
                 continue;
             }
-            if self.reason[v] == NO_REASON {
+            let c = self.reason[v];
+            if c == NO_REASON {
                 debug_assert!(self.level[v] > 0, "level-0 literals have no core share");
                 core.push(self.trail[i]);
             } else {
-                let ci = self.reason[v];
-                for k in 0..self.clauses[ci].len() {
-                    let q = self.clauses[ci][k];
-                    if q.var() != v && self.level[q.var()] > 0 {
-                        self.seen[q.var()] = true;
+                for k in 1..self.arena.len(c) {
+                    let q = self.arena.lit(c, k).var();
+                    if self.level[q] > 0 {
+                        self.seen[q] = true;
                     }
                 }
             }
@@ -570,39 +1081,47 @@ impl<'a> Solver<'a> {
         core
     }
 
+    /// Learns `learned` and asserts its first literal (the caller has
+    /// already backjumped).
+    fn learn(&mut self, learned: &[Lit], lbd: u32) {
+        self.stats.learned += 1;
+        if learned.len() == 1 {
+            self.enqueue(learned[0], NO_REASON);
+        } else {
+            let c = self.arena.alloc(learned, true, lbd);
+            self.learnts.push(c);
+            self.attach(c);
+            self.enqueue(learned[0], c);
+        }
+    }
+
     fn search(&mut self, assumptions: &[Lit]) -> AssumeOutcome {
-        let restart_base = 128u64;
+        let mut restarts = 0u64;
         loop {
-            let conflicts_before_restart = restart_base * luby(self.stats.restarts);
+            let conflicts_before_restart = RESTART_BASE * luby(restarts);
             let mut conflicts_here = 0u64;
             loop {
                 if let Some(conflict) = self.propagate() {
                     self.stats.conflicts += 1;
+                    self.total_conflicts += 1;
                     conflicts_here += 1;
                     if self.decision_level() == 0 {
+                        self.ok = false;
                         return AssumeOutcome::Unsat(Vec::new());
                     }
-                    let (learned, back_level) = self.analyze(conflict);
+                    let (learned, back_level, lbd) = self.analyze(conflict);
                     self.backtrack(back_level);
-                    self.stats.learned += 1;
-                    if learned.len() == 1 {
-                        self.enqueue(learned[0], NO_REASON);
-                    } else {
-                        let idx = self.clauses.len();
-                        self.watches[learned[0].index()].push(idx);
-                        self.watches[learned[1].index()].push(idx);
-                        let asserting = learned[0];
-                        self.clauses.push(learned);
-                        self.enqueue(asserting, idx);
-                    }
+                    self.learn(&learned, lbd);
+                    self.learned_buf = learned;
                     if self.out_of_budget() {
                         return AssumeOutcome::Unknown;
                     }
                 } else {
-                    if self.interrupted || self.out_of_budget() {
+                    if self.out_of_budget() {
                         return AssumeOutcome::Unknown;
                     }
                     if conflicts_here >= conflicts_before_restart && self.decision_level() > 0 {
+                        restarts += 1;
                         self.stats.restarts += 1;
                         if let Some(action) = self.fire(FaultSite::SatRestart) {
                             self.apply_fault(action);
@@ -612,6 +1131,9 @@ impl<'a> Solver<'a> {
                         }
                         self.backtrack(0);
                         break; // next Luby segment
+                    }
+                    if self.total_conflicts >= self.next_reduce {
+                        self.reduce_db();
                     }
                     // Pending assumptions enter as pseudo-decisions, one
                     // level each, before any free VSIDS decision.
@@ -623,10 +1145,7 @@ impl<'a> Solver<'a> {
                                 // the level index keeps tracking the prefix.
                                 self.trail_lim.push(self.trail.len());
                             }
-                            VAL_FALSE => {
-                                let core = self.analyze_final(a);
-                                return AssumeOutcome::Unsat(core);
-                            }
+                            VAL_FALSE => return AssumeOutcome::Unsat(self.analyze_final(a)),
                             _ => {
                                 self.trail_lim.push(self.trail.len());
                                 self.enqueue(a, NO_REASON);
@@ -635,7 +1154,9 @@ impl<'a> Solver<'a> {
                         continue;
                     }
                     if !self.decide() {
-                        let model = self.assign.iter().map(|&v| v == VAL_TRUE).collect();
+                        let model = (0..self.level.len())
+                            .map(|v| self.vals[Lit::pos(v).index()] == VAL_TRUE)
+                            .collect();
                         return AssumeOutcome::Sat(model);
                     }
                 }
@@ -656,7 +1177,8 @@ pub fn solve(cnf: &Cnf, limits: &SatLimits) -> (SatOutcome, SatStats) {
     (out, stats)
 }
 
-/// Solves `cnf` under the given assumption literals.
+/// Solves `cnf` under the given assumption literals: one call of a fresh
+/// [`IncrementalSolver`].
 ///
 /// Assumptions are placed as pseudo-decisions ahead of the search proper
 /// (the MiniSat discipline), so an unsatisfiable answer comes back with an
@@ -670,19 +1192,8 @@ pub fn solve_with_assumptions(
     assumptions: &[Lit],
     limits: &SatLimits,
 ) -> (AssumeOutcome, SatStats) {
-    let mut s = Solver::new(cnf, limits);
-    for clause in cnf.clauses() {
-        if !s.add_clause(clause) {
-            return (AssumeOutcome::Unsat(Vec::new()), s.stats);
-        }
-    }
-    if s.interrupted {
-        return (AssumeOutcome::Unknown, s.stats);
-    }
-    let outcome = s.search(assumptions);
-    (outcome, s.stats)
+    IncrementalSolver::new(cnf, limits).solve(assumptions)
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;

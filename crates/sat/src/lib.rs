@@ -10,9 +10,13 @@
 //!   slot implications, and MRT resource rows as sequential-counter
 //!   at-most-k cardinality circuits (see [`encode`'s module docs](encode)
 //!   for the constraint-by-constraint correspondence);
-//! * [`solve`] is a small conflict-driven solver: two-watched-literal
-//!   propagation, 1-UIP conflict analysis, VSIDS-style activities, phase
-//!   saving, and Luby restarts — deterministic for a given seed;
+//! * [`IncrementalSolver`] is a MiniSat-style conflict-driven solver: a
+//!   flat clause arena with blocker watches, VSIDS on a binary heap, phase
+//!   saving, 1-UIP learning with recursive clause minimization, LBD-based
+//!   learned-clause deletion with arena compaction, Luby restarts, and
+//!   assumptions with unsat cores. It keeps what it learned between calls;
+//!   [`solve`] and [`solve_with_assumptions`] are one-call wrappers around
+//!   it. Deterministic for a given seed;
 //! * [`Encoding::decode`] maps a satisfying assignment back to issue
 //!   times, which the caller certifies with `optimod-verify` exactly like
 //!   an ILP schedule. The SAT backend is **untrusted by design**: its
@@ -31,7 +35,8 @@ mod cdcl;
 mod encode;
 
 pub use cdcl::{
-    solve, solve_with_assumptions, AssumeOutcome, Cnf, Lit, SatLimits, SatOutcome, SatStats,
+    solve, solve_with_assumptions, AssumeOutcome, Cnf, IncrementalSolver, Lit, SatLimits,
+    SatOutcome, SatStats,
 };
 pub use encode::{
     encode, encode_grouped, encode_subset, ConstraintGroup, EncodeOptions, Encoding,
